@@ -23,7 +23,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .exactalg import Matrix, PrimeField, QQ, Subspace
 from .space import FiniteSpace, UnknownPoint, validate_topology
-from .sheaf import FreeModuleSheaf, MorphismSheaf, Section, SubmoduleSheaf
+from .sheaf import (
+    FreeModuleSheaf,
+    MorphismSheaf,
+    PointFamily,
+    Section,
+    SubmoduleSheaf,
+)
 from .pairing import PairingSheaf, annihilator
 from .symplectic import (
     BadSeed,
@@ -115,16 +121,16 @@ def _parse_matrix(field, path: str, value, cols: int,
     return Matrix.from_rows(field, parsed, cols=cols)
 
 
-def _require_point_map(space: FiniteSpace, path: str, value) -> dict:
+def _point_map(space: FiniteSpace, path: str, value, parse) -> PointFamily:
+    """A manifest map with one entry per point; ``parse(path, entry)``
+    turns each entry into its value, point by point in space order."""
     if not isinstance(value, dict):
         raise ValidationError(path, "must map point names to matrices")
-    missing = set(space.points) - set(value)
-    extra = set(value) - set(space.points)
-    if missing:
-        raise ValidationError(path, "missing point %r" % sorted(missing)[0])
-    if extra:
-        raise ValidationError(path, "unknown point %r" % sorted(extra)[0])
-    return value
+    try:
+        family = PointFamily(space.points, value)
+    except ValueError as exc:
+        raise ValidationError(path, str(exc))
+    return family.map(lambda x, entry: parse("%s.%s" % (path, x), entry))
 
 
 def parse_manifest(text: str) -> Manifest:
@@ -185,30 +191,45 @@ def parse_manifest(text: str) -> Manifest:
         raise ValidationError("rank", "must be a non-negative integer")
     module = FreeModuleSheaf(space, field, rank)
 
+    def square(path, value):
+        return _parse_matrix(field, path, value, rank, rows=rank)
+
+    def skew(path, value):
+        m = square(path, value)
+        for i in range(rank):
+            if m.entries[i][i]:
+                raise ValidationError(path, "diagonal must be zero")
+        if not m.is_skew():
+            raise ValidationError(path, "matrix must be skew")
+        return m
+
+    def stalk(path, rows):
+        if not isinstance(rows, list):
+            raise ValidationError(path, "must be a list of basis rows")
+        return Subspace.span(field, rank,
+                             _parse_matrix(field, path, rows, rank).entries)
+
+    # morphisms may have any row count (one-row seeds), the same at every point
+    heights = []
+
+    def rows_of_equal_height(path, value):
+        m = _parse_matrix(field, path, value, rank)
+        if heights and m.rows != heights[0]:
+            raise ValidationError(path, "row count differs between points")
+        heights.append(m.rows)
+        return m
+
     form = None
     if "form" in doc:
-        data = _require_point_map(space, "form", doc["form"])
-        coeff = {}
-        for x in space.points:
-            m = _parse_matrix(field, "form.%s" % x, data[x], rank, rows=rank)
-            for i in range(rank):
-                if m.entries[i][i]:
-                    raise ValidationError("form.%s" % x, "diagonal must be zero")
-            if not m.is_skew():
-                raise ValidationError("form.%s" % x, "matrix must be skew")
-            coeff[x] = m
-        form = TwoFormSheaf(module, coeff)
+        form = TwoFormSheaf(module, _point_map(space, "form", doc["form"], skew))
 
     pairings = {}
     if "pairings" in doc:
         if not isinstance(doc["pairings"], dict):
             raise ValidationError("pairings", "must map names to gram families")
         for name in sorted(doc["pairings"]):
-            data = _require_point_map(space, "pairings.%s" % name,
-                                      doc["pairings"][name])
-            gram = {x: _parse_matrix(field, "pairings.%s.%s" % (name, x),
-                                     data[x], rank, rows=rank)
-                    for x in space.points}
+            gram = _point_map(space, "pairings.%s" % name,
+                              doc["pairings"][name], square)
             pairings[name] = PairingSheaf(module, module, gram)
 
     submodules = {}
@@ -216,17 +237,8 @@ def parse_manifest(text: str) -> Manifest:
         if not isinstance(doc["submodules"], dict):
             raise ValidationError("submodules", "must map names to stalk bases")
         for name in sorted(doc["submodules"]):
-            data = _require_point_map(space, "submodules.%s" % name,
-                                      doc["submodules"][name])
-            stalks = {}
-            for x in space.points:
-                rows = data[x]
-                if not isinstance(rows, list):
-                    raise ValidationError("submodules.%s.%s" % (name, x),
-                                          "must be a list of basis rows")
-                m = _parse_matrix(field, "submodules.%s.%s" % (name, x),
-                                  rows, rank)
-                stalks[x] = Subspace.span(field, rank, m.entries)
+            stalks = _point_map(space, "submodules.%s" % name,
+                                doc["submodules"][name], stalk)
             submodules[name] = SubmoduleSheaf(module, stalks)
 
     morphisms = {}
@@ -234,20 +246,11 @@ def parse_manifest(text: str) -> Manifest:
         if not isinstance(doc["morphisms"], dict):
             raise ValidationError("morphisms", "must map names to matrix families")
         for name in sorted(doc["morphisms"]):
-            data = _require_point_map(space, "morphisms.%s" % name,
-                                      doc["morphisms"][name])
-            mats = {}
-            height = None
-            for x in space.points:
-                m = _parse_matrix(field, "morphisms.%s.%s" % (name, x),
-                                  data[x], rank)
-                if height is None:
-                    height = m.rows
-                elif m.rows != height:
-                    raise ValidationError("morphisms.%s.%s" % (name, x),
-                                          "row count differs between points")
-                mats[x] = m
-            morphisms[name] = MorphismSheaf(module, module, mats)
+            heights.clear()
+            mats = _point_map(space, "morphisms.%s" % name,
+                              doc["morphisms"][name], rows_of_equal_height)
+            target = FreeModuleSheaf(space, field, heights[0] if heights else 0)
+            morphisms[name] = MorphismSheaf(module, target, mats)
 
     return Manifest(space, field, rank, form, pairings, submodules, morphisms)
 
@@ -366,8 +369,7 @@ def _cmd_darboux(m: Manifest, args) -> Tuple[int, List[dict]]:
         if args.seed not in m.morphisms:
             raise UnknownName(args.seed)
         mor = m.morphisms[args.seed]
-        heights = {mor.mats[x].rows for x in m.space.points}
-        if heights != {1}:
+        if mor.target.rank != 1:
             raise BadSeed("seed %r must be a single covector row per point"
                           % args.seed)
         full = m.space.index_of(m.space.points)
@@ -395,10 +397,9 @@ def _cmd_reduce(m: Manifest, args) -> Tuple[int, List[dict]]:
     if args.sub not in m.submodules:
         raise UnknownName(args.sub)
     sm = _symplectic_of(m)
-    f = m.submodules[args.sub]
-    if not classify(sm, f).coisotropic:
+    red = reduce_module(sm, m.submodules[args.sub])
+    if not red.coisotropic:
         raise NotCoisotropic("submodule %r is not co-isotropic" % args.sub)
-    red = reduce_module(sm, f)
     rec = {
         "command": "reduce",
         "verdict": "pass",

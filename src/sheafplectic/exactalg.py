@@ -173,10 +173,6 @@ def add_vectors(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def scale_vector(c: Scalar, v: Sequence[Scalar]) -> tuple:
-    return tuple(c * a for a in v)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -246,10 +242,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols,
                       tuple(tuple(-a for a in r) for r in self.entries))
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(scale_vector(c, r) for r in self.entries))
-
     def mat_vec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
@@ -273,12 +265,6 @@ class Matrix:
                 if self.entries[i][j] != -self.entries[j][i]:
                     return False
         return True
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols or a.field != b.field:
-        raise ValueError("vstack shape/field mismatch")
-    return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +339,6 @@ class Subspace:
 
     def matrix(self) -> Matrix:
         return Matrix.from_rows(self.field, self.basis, cols=self.ambient_dim)
-
-    def pivot_columns(self) -> tuple:
-        cols = []
-        for row in self.basis:
-            for j, a in enumerate(row):
-                if a:
-                    cols.append(j)
-                    break
-        return tuple(cols)
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient_dim:

@@ -77,6 +77,15 @@ def enum_submodule_sections(f: SubmoduleSheaf, u: int,
     return out
 
 
+def _bilinear_value(gram_rows, left, right, field):
+    """s(x)^T G t(x) as a double sum over the gram entries."""
+    acc = field.zero
+    for a, row in zip(left, gram_rows):
+        for g, b in zip(row, right):
+            acc = acc + a * g * b
+    return acc
+
+
 def enum_annihilator(p: PairingSheaf, g: SubmoduleSheaf, u: int,
                      budget: EnumerationBudget = DEFAULT_BUDGET) -> List[Section]:
     """Filter every right section against the defining identity.
@@ -93,13 +102,9 @@ def enum_annihilator(p: PairingSheaf, g: SubmoduleSheaf, u: int,
     per_point = [_all_vectors(field, p.right.stalk_dim(x)) for x in pts]
     for combo in itertools.product(*[list(v) for v in per_point]):
         t = Section(u, dict(zip(pts, combo)))
-        killed = True
-        for s in left_sections:
-            vals = p.evaluate(s, t)
-            if any(vals[x] for x in vals):
-                killed = False
-                break
-        if killed:
+        if all(not _bilinear_value(p.gram[x].entries, s.values[x], t.values[x],
+                                   field)
+               for s in left_sections for x in pts):
             out.append(t)
     return out
 

@@ -1,31 +1,38 @@
 """Bilinear pairings of module sheaves: duality, annihilators, transposes.
 
 A pairing is a family of gram matrices, one per point, evaluating two
-sections pointwise.  Duals of free finite-rank sheaves are identified with
-the sheaves themselves (functionals are row vectors on the standard basis),
-which turns every "within an isomorphism" statement into an equality of
-canonical data that tests can compare directly.
+sections pointwise.  The gram family is a ``PointFamily``, checked like
+every per-point map: each point exactly once, each matrix with the shape of
+the two stalks there.  An alternating 2-form is a pairing too, so one
+evaluation serves pairings, forms and reduced forms alike.  Duals of free
+finite-rank sheaves are identified with the sheaves themselves (functionals
+are row vectors on the standard basis), which turns every "within an
+isomorphism" statement into an equality of canonical data that tests can
+compare directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (
     Field,
     Matrix,
     Subspace,
     coordinates_in,
+    dot,
     inverse,
     kernel_basis,
     orthogonal_complement,
     rank_of,
+    zero_vector,
 )
 from .sheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     ParentMismatch,
+    PointFamily,
     QuotientSheaf,
     Section,
     SubmoduleSheaf,
@@ -51,17 +58,11 @@ class PairingSheaf:
     def __init__(self, left, right, gram: Dict[str, Matrix]):
         if left.space != right.space:
             raise ParentMismatch("pairing sides live on different spaces")
-        for x in left.space.points:
-            g = gram.get(x)
-            if g is None:
-                raise ValueError("missing gram matrix at point %r" % x)
-            if (g.rows, g.cols) != (left.stalk_dim(x), right.stalk_dim(x)):
-                raise ValueError("gram at %r is %dx%d, stalks need %dx%d"
-                                 % (x, g.rows, g.cols,
-                                    left.stalk_dim(x), right.stalk_dim(x)))
         self.left = left
         self.right = right
-        self.gram = dict(gram)
+        self.gram = PointFamily(
+            left.space.points, gram,
+            lambda x: (left.stalk_dim(x), right.stalk_dim(x)))
 
     @property
     def space(self) -> FiniteSpace:
@@ -75,24 +76,12 @@ class PairingSheaf:
         """The scalar section x -> s(x)^T gram t(x) over the common open."""
         if s.over != t.over:
             raise ValueError("sections live over different opens")
-        return {x: _bilinear(self.gram[x], s.values[x], t.values[x], self.field)
-                for x in s.values}
+        return {x: dot(self.gram[x].vec_mat(v), t.values[x], self.field)
+                for x, v in s.values.items()}
 
     def swapped(self) -> "PairingSheaf":
         return PairingSheaf(self.right, self.left,
-                            {x: g.transpose() for x, g in self.gram.items()})
-
-
-def _bilinear(g: Matrix, u: Sequence, v: Sequence, field: Field):
-    acc = field.zero
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = g.entries[i]
-        for j, b in enumerate(v):
-            if b:
-                acc = acc + a * row[j] * b
-    return acc
+                            self.gram.map(lambda x, g: g.transpose()))
 
 
 def canonical_pairing(e: FreeModuleSheaf) -> PairingSheaf:
@@ -114,7 +103,6 @@ class NondegeneracyResult:
 
 def is_nondegenerate(p: PairingSheaf) -> NondegeneracyResult:
     """Pointwise full rank with equal stalk dimensions on both sides."""
-    from .exactalg import zero_vector
     for x in p.space.points:
         g = p.gram[x]
         r = rank_of(g)
@@ -144,7 +132,7 @@ def theta(p: PairingSheaf) -> MorphismSheaf:
     if not check:
         raise Degenerate("pairing is degenerate at %r (%s side)"
                          % (check.point, check.side))
-    return MorphismSheaf(p.right, p.left, dict(p.gram))
+    return MorphismSheaf(p.right, p.left, p.gram)
 
 
 def annihilator(p: PairingSheaf, g: SubmoduleSheaf) -> SubmoduleSheaf:
@@ -155,9 +143,8 @@ def annihilator(p: PairingSheaf, g: SubmoduleSheaf) -> SubmoduleSheaf:
     """
     if g.parent != p.left:
         raise ParentMismatch("sub-sheaf does not live in the left side")
-    stalks = {x: orthogonal_complement(g.stalks[x], p.gram[x])
-              for x in p.space.points}
-    return SubmoduleSheaf(p.right, stalks)
+    return SubmoduleSheaf(p.right, g.stalks.map(
+        lambda x, stalk: orthogonal_complement(stalk, p.gram[x])))
 
 
 def left_annihilator(p: PairingSheaf, h: SubmoduleSheaf) -> SubmoduleSheaf:
@@ -271,8 +258,9 @@ def induced_endomorphism(p: PairingSheaf, s: MorphismSheaf,
 def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
     """Identify functionals on the quotient with the annihilator sub-sheaf.
 
-    Pointwise the matrix is the transposed projection; its rows span
-    exactly the stalks of the annihilator and kill the denominator.
+    Pointwise the matrix is the transposed projection, a map into the dual
+    of ``e``; its columns span exactly the stalks of the annihilator and
+    kill the denominator.
     """
     if f.parent != e:
         raise ParentMismatch("sub-sheaf does not live in the given sheaf")
@@ -287,7 +275,7 @@ def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
         if rank_of(q) != quot.stalk_dim(x):
             raise RuntimeError("quotient dual map is not injective at %r" % x)
         mats[x] = q.transpose()
-    return MorphismSheaf(quot, perp, mats)
+    return MorphismSheaf(quot, e, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,18 @@ restriction.  Sub-sheaves are stalkwise: one subspace per point, with the
 sections over U being exactly the families that hit the subspace at every
 point of U.  Quotients pick deterministic echelon complements so that
 projections are concrete matrices.
+
+Every per-point map (stalks, matrices of morphisms, pairings and forms,
+quotient data, section values) is a ``PointFamily``, and all of them are
+checked one way: each point of the space appears exactly once, and each
+value has the shape its point needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (
     Field,
@@ -20,11 +26,55 @@ from .exactalg import (
     Subspace,
     coordinates_in,
     echelon_complement,
-    kernel_basis,
     inverse,
+    kernel_basis,
+    solve,
+    subspace_intersection,
+    subspace_sum,
     zero_vector,
 )
 from .space import Cover, FiniteSpace
+
+
+class PointFamily(dict):
+    """One value per point of a space, read-only after construction.
+
+    The constructor is the single check for per-point maps: ``values`` must
+    name every one of ``points`` exactly once (``ValueError`` "missing
+    point" / "unknown point" otherwise), and when ``shape`` is given each
+    value must have shape ``shape(x)``: ``(rows, cols)`` for a matrix, the
+    ambient dimension for a subspace, the length for a vector.  Lookups are
+    plain dict lookups; iteration follows the order of ``points``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, points: Sequence[str], values: Mapping,
+                 shape: Optional[Callable[[str], object]] = None):
+        missing = set(points) - set(values)
+        if missing:
+            raise ValueError("missing point %r" % sorted(missing)[0])
+        extra = set(values) - set(points)
+        if extra:
+            raise ValueError("unknown point %r" % sorted(extra, key=str)[0])
+        super().__init__((x, values[x]) for x in points)
+        if shape is not None:
+            for x, v in self.items():
+                got = ((v.rows, v.cols) if isinstance(v, Matrix) else
+                       v.ambient_dim if isinstance(v, Subspace) else len(v))
+                if got != shape(x):
+                    raise ValueError("value at %r has shape %r, expected %r"
+                                     % (x, got, shape(x)))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a PointFamily is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def map(self, fn: Callable[[str, object], object]) -> "PointFamily":
+        """The family ``x -> fn(x, value at x)`` over the same points."""
+        return PointFamily(tuple(self), {x: fn(x, v) for x, v in self.items()})
 
 
 class ParentMismatch(ValueError):
@@ -50,23 +100,6 @@ class FreeModuleSheaf:
 
     def stalk_dim(self, x: str) -> int:
         return self.rank
-
-    def zero_section(self, u: int) -> "Section":
-        return Section(u, {x: zero_vector(self.field, self.rank)
-                           for x in self.space.member_points(u)})
-
-    def basis_sections(self, u: int) -> List["Section"]:
-        """One section per (point, coordinate): the unit vector there, zero elsewhere."""
-        out = []
-        pts = self.space.member_points(u)
-        for x in pts:
-            for i in range(self.rank):
-                values = {y: zero_vector(self.field, self.rank) for y in pts}
-                vec = list(values[x])
-                vec[i] = self.field.one
-                values[x] = tuple(vec)
-                out.append(Section(u, values))
-        return out
 
     def restrict_to(self, u: int) -> "FreeModuleSheaf":
         return FreeModuleSheaf(self.space.restrict_to(u), self.field, self.rank)
@@ -102,17 +135,9 @@ class Section:
 
 def make_section(module, u: int, values: Dict[str, Sequence]) -> Section:
     """Validated section constructor for any stalked module."""
-    pts = module.space.member_points(u) if hasattr(module, "space") else None
-    if set(values) != set(pts):
-        raise ValueError("section values must cover exactly the points of the open")
-    vals = {}
-    for x in pts:
-        v = tuple(values[x])
-        if len(v) != module.stalk_dim(x):
-            raise ValueError("value at %r has length %d, stalk needs %d"
-                             % (x, len(v), module.stalk_dim(x)))
-        vals[x] = v
-    return Section(u, vals)
+    return Section(u, PointFamily(module.space.member_points(u),
+                                  {x: tuple(v) for x, v in values.items()},
+                                  module.stalk_dim))
 
 
 def restrict_section(space: FiniteSpace, s: Section, v: int) -> Section:
@@ -152,14 +177,9 @@ class SubmoduleSheaf:
     """One subspace per point; sections over U hit the subspace at each point."""
 
     def __init__(self, parent: FreeModuleSheaf, stalks: Dict[str, Subspace]):
-        for x in parent.space.points:
-            if x not in stalks:
-                raise ValueError("missing stalk at point %r" % x)
-            if stalks[x].ambient_dim != parent.rank:
-                raise ValueError("stalk at %r has ambient %d, parent rank is %d"
-                                 % (x, stalks[x].ambient_dim, parent.rank))
         self.parent = parent
-        self.stalks = dict(stalks)
+        self.stalks = PointFamily(parent.space.points, stalks,
+                                  lambda x: parent.rank)
 
     def __repr__(self):
         dims = [self.stalks[x].dim for x in self.parent.space.points]
@@ -206,38 +226,23 @@ def sections_basis(f: SubmoduleSheaf, u: int) -> List[Section]:
     return out
 
 
-def _require_same_parent(fs: Sequence[SubmoduleSheaf]) -> FreeModuleSheaf:
+def _fold_stalks(fs: Sequence[SubmoduleSheaf], op) -> SubmoduleSheaf:
+    """Combine sub-sheaves of one parent stalk by stalk, left to right."""
     if not fs:
         raise ValueError("need at least one sub-sheaf")
     parent = fs[0].parent
-    for f in fs[1:]:
-        if f.parent != parent:
-            raise ParentMismatch("sub-sheaves of different parents")
-    return parent
+    if any(f.parent != parent for f in fs[1:]):
+        raise ParentMismatch("sub-sheaves of different parents")
+    return SubmoduleSheaf(parent, fs[0].stalks.map(
+        lambda x, first: reduce(op, (f.stalks[x] for f in fs[1:]), first)))
 
 
 def sum_submodules(fs: Sequence[SubmoduleSheaf]) -> SubmoduleSheaf:
-    from .exactalg import subspace_sum
-    parent = _require_same_parent(fs)
-    stalks = {}
-    for x in parent.space.points:
-        acc = fs[0].stalks[x]
-        for f in fs[1:]:
-            acc = subspace_sum(acc, f.stalks[x])
-        stalks[x] = acc
-    return SubmoduleSheaf(parent, stalks)
+    return _fold_stalks(fs, subspace_sum)
 
 
 def intersect_submodules(fs: Sequence[SubmoduleSheaf]) -> SubmoduleSheaf:
-    from .exactalg import subspace_intersection
-    parent = _require_same_parent(fs)
-    stalks = {}
-    for x in parent.space.points:
-        acc = fs[0].stalks[x]
-        for f in fs[1:]:
-            acc = subspace_intersection(acc, f.stalks[x])
-        stalks[x] = acc
-    return SubmoduleSheaf(parent, stalks)
+    return _fold_stalks(fs, subspace_intersection)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +250,19 @@ def intersect_submodules(fs: Sequence[SubmoduleSheaf]) -> SubmoduleSheaf:
 
 @dataclass
 class MorphismSheaf:
-    """Pointwise matrices between stalked modules; commutes with restriction."""
+    """Pointwise matrices between stalked modules; commutes with restriction.
+
+    The matrix at ``x`` is ``target.stalk_dim(x) x source.stalk_dim(x)``.
+    """
 
     source: object
     target: object
     mats: Dict[str, Matrix]
+
+    def __post_init__(self):
+        self.mats = PointFamily(
+            self.source.space.points, self.mats,
+            lambda x: (self.target.stalk_dim(x), self.source.stalk_dim(x)))
 
     @classmethod
     def identity_on(cls, module) -> "MorphismSheaf":
@@ -454,7 +467,6 @@ def check_completeness(p: ExplicitPresheaf) -> CompletenessReport:
                 compatible = kernel_basis(
                     Matrix.from_rows(field, constraint_rows, cols=total))
                 for fam in compatible.basis:
-                    from .exactalg import solve
                     if solve(joint, fam) is None:
                         pieces = tuple(tuple(fam[offsets[i]:offsets[i] + p.dims[m]])
                                        for i, m in enumerate(members))
@@ -561,7 +573,14 @@ class QuotientSheaf:
     by: SubmoduleSheaf
     within: Optional[SubmoduleSheaf]
     complements: Dict[str, Subspace]
-    proj: Dict[str, Matrix]
+    proj: Dict[str, Matrix]         # ambient coordinates -> quotient coordinates
+
+    def __post_init__(self):
+        n = self.parent.rank
+        self.complements = PointFamily(self.space.points, self.complements,
+                                       lambda x: n)
+        self.proj = PointFamily(self.space.points, self.proj,
+                                lambda x: (self.complements[x].dim, n))
 
     @property
     def space(self) -> FiniteSpace:
@@ -584,9 +603,10 @@ class QuotientSheaf:
         return tuple(vec)
 
 
-def quotient_within(e: FreeModuleSheaf, f: SubmoduleSheaf,
-                    within: Optional[SubmoduleSheaf] = None):
-    """Quotient (within / f) with its projection, both stalkwise explicit."""
+def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
+             within: Optional[SubmoduleSheaf] = None):
+    """Quotient (within / f), by default of the whole free sheaf, with its
+    projection from the free sheaf; both stalkwise explicit."""
     if f.parent != e:
         raise ParentMismatch("numerator does not live in the given sheaf")
     if within is not None and within.parent != e:
@@ -617,10 +637,4 @@ def quotient_within(e: FreeModuleSheaf, f: SubmoduleSheaf,
         complements[x] = cplt
         proj[x] = q
     quot = QuotientSheaf(e, f, within, complements, proj)
-    q_mor = MorphismSheaf(within if within is not None else e, quot, dict(proj))
-    return quot, q_mor
-
-
-def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf):
-    """Quotient of the free sheaf by a stalkwise sub-sheaf, with projection."""
-    return quotient_within(e, f, None)
+    return quot, MorphismSheaf(e, quot, quot.proj)

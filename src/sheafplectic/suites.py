@@ -14,6 +14,8 @@ from .exactalg import (
     Field,
     Matrix,
     Subspace,
+    echelon_complement,
+    inverse,
     kernel_basis,
     rank_of,
     subspace_intersection,
@@ -47,14 +49,13 @@ from .symplectic import (
     NoAdmissibleNeighborhood,
     SymplecticModule,
     TwoFormSheaf,
-    classify,
     contract,
     darboux,
     darboux_reconstructs,
-    form_perp,
     form_rank,
     reduce,
     reduce_lagrangian,
+    standard_block,
     standard_form,
 )
 
@@ -119,22 +120,10 @@ def rand_nondegenerate_pairing(e: FreeModuleSheaf,
                                for x in e.space.points})
 
 
-def standard_j(field: Field, n: int) -> Matrix:
-    rows = [[field.zero] * n for _ in range(n)]
-    for k in range(n // 2):
-        rows[2 * k][2 * k + 1] = field.one
-        rows[2 * k + 1][2 * k] = -field.one
-    return Matrix.from_rows(field, [tuple(r) for r in rows], cols=n)
-
-
 def rand_skew_of_rank(field: Field, rng: random.Random, n: int,
                       r: int) -> Matrix:
     """Skew matrix of exact rank ``r``: congruence image of a standard block."""
-    base = [[field.zero] * n for _ in range(n)]
-    for k in range(r // 2):
-        base[2 * k][2 * k + 1] = field.one
-        base[2 * k + 1][2 * k] = -field.one
-    j = Matrix.from_rows(field, [tuple(row) for row in base], cols=n)
+    j = standard_block(field, n, r // 2)
     p = rand_invertible(field, rng, n)
     return p.transpose() @ j @ p
 
@@ -151,7 +140,7 @@ def rand_rankwise_form(e: FreeModuleSheaf, rng: random.Random,
 def rand_symplectic_matrix(field: Field, rng: random.Random, n: int,
                            steps: int = 4) -> Matrix:
     """Product of symplectic transvections for the standard block form."""
-    j = standard_j(field, n)
+    j = standard_block(field, n, n // 2)
     m = Matrix.identity(field, n)
     for _ in range(steps):
         v = [rand_scalar(field, rng, -2, 2) for _ in range(n)]
@@ -193,7 +182,6 @@ def rand_invariant_endo(e: FreeModuleSheaf, g: SubmoduleSheaf,
                         rng: random.Random) -> MorphismSheaf:
     """Endomorphism leaving the given stalks invariant: block upper
     triangular in a basis adapted to each stalk."""
-    from .exactalg import echelon_complement, inverse
     field = e.field
     n = e.rank
     mats = {}
@@ -210,27 +198,21 @@ def rand_invariant_endo(e: FreeModuleSheaf, g: SubmoduleSheaf,
 
 
 # ---------------------------------------------------------------------------
-# suite context and records
-
-class SuiteContext:
-    """Ingredients the suites draw on; the CLI manifest satisfies this."""
-
-    def __init__(self, space, field, rank, form=None, pairings=None,
-                 submodules=None, morphisms=None):
-        self.space = space
-        self.field = field
-        self.rank = rank
-        self.form = form
-        self.pairings = pairings or {}
-        self.submodules = submodules or {}
-        self.morphisms = morphisms or {}
-
+# records
+#
+# ``ctx`` in the suites below is anything with ``space``, ``field``, ``rank``,
+# ``form`` (or None), and ``pairings`` and ``submodules`` dicts, such as the
+# CLI manifest.
 
 def _record(check: str, ok: bool, detail: str = "") -> dict:
     return {"check": check, "ok": bool(ok), "detail": detail}
 
 
-def _pairing_sources(ctx) -> List[Tuple[str, PairingSheaf]]:
+def _pairing_sources(ctx, suite: str,
+                     out: List[dict]) -> List[Tuple[str, PairingSheaf]]:
+    """The nondegenerate pairings of the context: its named pairings and its
+    form, else the canonical pairing.  A degenerate form is left out with
+    an ``ok`` skip record on ``out`` naming the point where it degenerates."""
     e = FreeModuleSheaf(ctx.space, ctx.field, ctx.rank)
     sources = []
     for name in sorted(ctx.pairings):
@@ -238,7 +220,12 @@ def _pairing_sources(ctx) -> List[Tuple[str, PairingSheaf]]:
         if is_nondegenerate(p).ok:
             sources.append(("pairing:%s" % name, p))
     if ctx.form is not None:
-        sources.append(("form", ctx.form.pairing()))
+        check = is_nondegenerate(ctx.form)
+        if check.ok:
+            sources.append(("form", ctx.form))
+        else:
+            out.append(_record("%s/form/skipped" % suite, True,
+                               "form is degenerate at point %s" % check.point))
     if not sources:
         sources.append(("canonical", canonical_pairing(e)))
     return sources
@@ -254,7 +241,7 @@ def suite_annihilator_theorem(ctx, rng: random.Random,
     for every nondegenerate pairing available."""
     e = FreeModuleSheaf(ctx.space, ctx.field, ctx.rank)
     out = []
-    for src_name, p in _pairing_sources(ctx):
+    for src_name, p in _pairing_sources(ctx, "annihilator-theorem", out):
         ok = {k: True for k in "abcdefgh"}
         for _ in range(draws):
             g = rand_stalks(e, rng)
@@ -360,7 +347,7 @@ def suite_transpose(ctx, rng: random.Random, draws: int = 5) -> List[dict]:
     out.append(_record("transpose/inverse", inv_ok))
     out.append(_record("transpose/kernel-is-image-annihilator", kernel_ok))
     endo_ok = True
-    for src_name, p in _pairing_sources(ctx):
+    for src_name, p in _pairing_sources(ctx, "transpose", out):
         for _ in range(draws):
             s = MorphismSheaf(e, e, {x: rand_matrix(ctx.field, rng, ctx.rank,
                                                     ctx.rank)
@@ -380,7 +367,7 @@ def suite_completeness(ctx, rng: random.Random, draws: int = 4) -> List[dict]:
     for name in sorted(ctx.submodules):
         rep = check_completeness(sections_presheaf(ctx.submodules[name]))
         out.append(_record("completeness/submodule:%s" % name, rep.ok))
-    sources = _pairing_sources(ctx)
+    sources = _pairing_sources(ctx, "completeness", out)
     for k in range(draws):
         g = rand_stalks(e, rng)
         h = rand_stalks(e, rng)
@@ -483,26 +470,23 @@ def suite_reduction(ctx, rng: random.Random, draws: int = 5) -> List[dict]:
         if sm_manifest is not None:
             for name in sorted(ctx.submodules):
                 f = ctx.submodules[name]
-                if classify(sm_manifest, f).coisotropic:
-                    red = reduce(sm_manifest, f)
-                    perp = form_perp(sm_manifest, f)
+                red = reduce(sm_manifest, f)
+                if red.coisotropic:
                     ok = all(red.reduced_dim(x) ==
-                             f.stalks[x].dim - perp.stalks[x].dim
+                             f.stalks[x].dim - red.perp.stalks[x].dim
                              for x in ctx.space.points)
                     out.append(_record("reduction/submodule:%s" % name, ok))
     for k in range(draws):
         f, g = rand_coisotropic_with_lagrangian(e, rng)
-        cls = classify(sm, f)
-        ok = cls.coisotropic
-        red = reduce(sm, f)
-        perp = form_perp(sm, f)
+        res = reduce_lagrangian(sm, f, g)
+        red = res.reduction
+        ok = red.coisotropic
         for x in ctx.space.points:
-            if red.reduced_dim(x) != f.stalks[x].dim - perp.stalks[x].dim:
+            if red.reduced_dim(x) != f.stalks[x].dim - red.perp.stalks[x].dim:
                 ok = False
             if rank_of(red.reduced_form[x]) != red.reduced_dim(x):
                 ok = False
         out.append(_record("reduction/random-%d" % k, ok))
-        res = reduce_lagrangian(sm, f, g)
         ok2 = all(2 * res.stalks[x].dim == red.reduced_dim(x)
                   for x in ctx.space.points)
         out.append(_record("reduction/lagrangian-%d" % k, ok2))

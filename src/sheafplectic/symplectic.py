@@ -3,12 +3,15 @@ constant-rank checks, constructive Darboux decompositions, classification
 of sub-sheaves and symplectic reduction.
 
 Covectors are sections whose point values are row vectors; a 2-form is a
-family of skew coefficient matrices with zero diagonal (alternating even in
-characteristic two).  The Darboux routine fixes its pivots at the requested
-point and then keeps exactly the largest open neighbourhood on which every
-pivot stays nonzero and the residual dies; on a finite space that floor is
-the minimal open of the point, and failure there is reported with the
-offending witness.
+pairing of a free module sheaf with itself whose gram family of coefficient
+matrices is alternating: skew with zero diagonal, even in characteristic
+two.  Like every per-point map, each coefficient, isomorphism and reduced
+form family is a ``PointFamily``, checked one way: each point exactly once,
+each matrix with the shape its point needs.  The Darboux routine fixes its
+pivots at the requested point and then keeps exactly the largest open
+neighbourhood on which every pivot stays nonzero and the residual dies; on
+a finite space that floor is the minimal open of the point, and failure
+there is reported with the offending witness.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .exactalg import (
     Subspace,
     coordinates_in,
     kernel_basis,
+    orthogonal_complement,
     rank_of,
     solve,
     subspace_intersection,
@@ -31,11 +35,11 @@ from .sheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     ParentMismatch,
+    PointFamily,
     QuotientSheaf,
     Section,
     SubmoduleSheaf,
     quotient,
-    quotient_within,
 )
 from .pairing import PairingSheaf, annihilator
 from .space import FiniteSpace, UnknownPoint
@@ -77,45 +81,20 @@ class NotCoisotropic(ValueError):
     pass
 
 
-class TwoFormSheaf:
-    """Skew coefficient matrices, one per point, with zero diagonal."""
+class TwoFormSheaf(PairingSheaf):
+    """A pairing of a free module sheaf with itself whose gram matrices,
+    the coefficients of the form, are alternating at every point."""
 
     def __init__(self, module: FreeModuleSheaf, coeff: Dict[str, Matrix]):
-        n = module.rank
-        for x in module.space.points:
-            a = coeff.get(x)
-            if a is None:
-                raise ValueError("missing coefficient matrix at point %r" % x)
-            if (a.rows, a.cols) != (n, n):
-                raise ValueError("coefficients at %r are %dx%d, rank is %d"
-                                 % (x, a.rows, a.cols, n))
+        super().__init__(module, module, coeff)
+        for x, a in self.gram.items():
             if not a.is_skew():
                 raise ValueError("coefficients at %r are not alternating" % x)
         self.module = module
-        self.coeff = dict(coeff)
 
     @property
-    def space(self) -> FiniteSpace:
-        return self.module.space
-
-    @property
-    def field(self) -> Field:
-        return self.module.field
-
-    def evaluate(self, s: Section, t: Section) -> Dict[str, object]:
-        if s.over != t.over:
-            raise ValueError("sections live over different opens")
-        out = {}
-        for x in s.values:
-            row = self.coeff[x].vec_mat(s.values[x])
-            acc = self.field.zero
-            for a, b in zip(row, t.values[x]):
-                acc = acc + a * b
-            out[x] = acc
-        return out
-
-    def pairing(self) -> PairingSheaf:
-        return PairingSheaf(self.module, self.module, dict(self.coeff))
+    def coeff(self) -> PointFamily:
+        return self.gram
 
 
 def contract(w: TwoFormSheaf, s: Section) -> Section:
@@ -125,19 +104,6 @@ def contract(w: TwoFormSheaf, s: Section) -> Section:
             raise RankMismatch("section value at %r has length %d, rank is %d"
                                % (x, len(v), w.module.rank))
     return Section(s.over, {x: w.coeff[x].vec_mat(v) for x, v in s.values.items()})
-
-
-def evaluate_covector(eta: Section, s: Section, field: Field) -> Dict[str, object]:
-    """Inner product in degree one: plain evaluation of a covector."""
-    if eta.over != s.over:
-        raise ValueError("sections live over different opens")
-    out = {}
-    for x in eta.values:
-        acc = field.zero
-        for a, b in zip(eta.values[x], s.values[x]):
-            acc = acc + a * b
-        out[x] = acc
-    return out
 
 
 @dataclass
@@ -151,6 +117,11 @@ class FlatResult:
     projection: MorphismSheaf
     iso: Dict[str, Matrix]           # quotient coords -> image coords, invertible
 
+    def __post_init__(self):
+        self.iso = PointFamily(
+            self.kernel.space.points, self.iso,
+            lambda x: (self.image.stalk_dim(x), self.quotient.stalk_dim(x)))
+
 
 def flat(w: TwoFormSheaf) -> FlatResult:
     """s -> -i(s)w as a map into the dual; kernel and image stalkwise.
@@ -161,11 +132,9 @@ def flat(w: TwoFormSheaf) -> FlatResult:
     """
     e = w.module
     field = e.field
-    mats = {x: w.coeff[x] for x in e.space.points}
-    image = SubmoduleSheaf(e, {x: Subspace.span(field, e.rank, w.coeff[x].entries)
-                               for x in e.space.points})
-    kernel = SubmoduleSheaf(e, {x: kernel_basis(w.coeff[x])
-                                for x in e.space.points})
+    image = SubmoduleSheaf(e, w.coeff.map(
+        lambda x, a: Subspace.span(field, e.rank, a.entries)))
+    kernel = SubmoduleSheaf(e, w.coeff.map(lambda x, a: kernel_basis(a)))
     quot, proj = quotient(e, kernel)
     iso = {}
     for x in e.space.points:
@@ -182,7 +151,7 @@ def flat(w: TwoFormSheaf) -> FlatResult:
                                   cols=d)
         if d and rank_of(iso[x]) != d:
             raise RuntimeError("quotient-image comparison is singular at %r" % x)
-    return FlatResult(MorphismSheaf(e, e, mats), image, kernel, quot, proj, iso)
+    return FlatResult(MorphismSheaf(e, e, w.coeff), image, kernel, quot, proj, iso)
 
 
 def form_rank(w: TwoFormSheaf, u: int) -> int:
@@ -392,17 +361,21 @@ class SymplecticModule:
                 raise ValueError("form is degenerate at point %r" % x)
 
 
-def standard_form(e: FreeModuleSheaf) -> TwoFormSheaf:
-    """Block form pairing coordinates (1,2), (3,4), ... with +1 above the diagonal."""
-    n = e.rank
-    if n % 2 != 0:
-        raise ValueError("standard form needs even rank")
-    field = e.field
+def standard_block(field: Field, n: int, pairs: int) -> Matrix:
+    """The n x n skew matrix pairing coordinates (1,2), (3,4), ... for the
+    first ``pairs`` pairs, with +1 above the diagonal; its rank is 2 pairs."""
     rows = [[field.zero] * n for _ in range(n)]
-    for k in range(n // 2):
+    for k in range(pairs):
         rows[2 * k][2 * k + 1] = field.one
         rows[2 * k + 1][2 * k] = -field.one
-    j = Matrix.from_rows(field, [tuple(r) for r in rows], cols=n)
+    return Matrix.from_rows(field, [tuple(r) for r in rows], cols=n)
+
+
+def standard_form(e: FreeModuleSheaf) -> TwoFormSheaf:
+    """Block form pairing coordinates (1,2), (3,4), ... with +1 above the diagonal."""
+    if e.rank % 2 != 0:
+        raise ValueError("standard form needs even rank")
+    j = standard_block(e.field, e.rank, e.rank // 2)
     return TwoFormSheaf(e, {x: j for x in e.space.points})
 
 
@@ -419,7 +392,11 @@ def form_perp(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleSheaf:
     """Stalkwise orthogonal of a sub-sheaf for the symplectic form."""
     if f.parent != sm.module:
         raise ParentMismatch("sub-sheaf lives in a different module")
-    return annihilator(sm.form.pairing(), f)
+    return annihilator(sm.form, f)
+
+
+def _inside(f: SubmoduleSheaf, g: SubmoduleSheaf) -> bool:
+    return all(f.stalks[x].is_subspace_of(g.stalks[x]) for x in f.stalks)
 
 
 def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
@@ -429,10 +406,8 @@ def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
     complement built by ``lagrangian_complement`` is attached as certificate.
     """
     perp = form_perp(sm, f)
-    isotropic = all(f.stalks[x].is_subspace_of(perp.stalks[x])
-                    for x in sm.module.space.points)
-    coisotropic = all(perp.stalks[x].is_subspace_of(f.stalks[x])
-                      for x in sm.module.space.points)
+    isotropic = _inside(f, perp)
+    coisotropic = _inside(perp, f)
     symplectic_sub = True
     for x in sm.module.space.points:
         b = f.stalks[x].matrix()
@@ -440,9 +415,8 @@ def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
         if rank_of(restricted) != f.stalks[x].dim:
             symplectic_sub = False
             break
-    lagrangian = all(f.stalks[x] == perp.stalks[x]
-                     for x in sm.module.space.points)
-    complement = lagrangian_complement(sm, f) if lagrangian else None
+    lagrangian = f.stalks == perp.stalks
+    complement = _isotropic_complement(sm, f) if lagrangian else None
     return Classification(isotropic, coisotropic, symplectic_sub, lagrangian,
                           complement)
 
@@ -455,16 +429,23 @@ def lagrangian_complement(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleS
     is deterministic and always terminates at half rank.
     """
     perp = form_perp(sm, f)
+    for x in sm.module.space.points:
+        if f.stalks[x] != perp.stalks[x]:
+            raise NotLagrangian("stalk at %r does not equal its orthogonal" % x)
+    return _isotropic_complement(sm, f)
+
+
+def _isotropic_complement(sm: SymplecticModule,
+                          f: SubmoduleSheaf) -> SubmoduleSheaf:
     field = sm.module.field
     n = sm.module.rank
     stalks = {}
     for x in sm.module.space.points:
-        if f.stalks[x] != perp.stalks[x]:
-            raise NotLagrangian("stalk at %r does not equal its orthogonal" % x)
         chosen: List[tuple] = []
         running = f.stalks[x]
         while running.dim < n:
-            candidates = orthogonal_of_rows(field, n, chosen, sm.form.coeff[x])
+            candidates = orthogonal_complement(Subspace.span(field, n, chosen),
+                                               sm.form.coeff[x])
             pick = None
             for row in candidates.basis:
                 if not running.contains(row):
@@ -484,19 +465,14 @@ def lagrangian_complement(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleS
     return SubmoduleSheaf(sm.module, stalks)
 
 
-def orthogonal_of_rows(field: Field, n: int, rows: Sequence[tuple],
-                       gram: Matrix) -> Subspace:
-    from .exactalg import orthogonal_complement
-    return orthogonal_complement(Subspace.span(field, n, rows), gram)
-
-
 @dataclass
 class ReducedModule:
     """Quotient of a sub-sheaf by its self-orthogonal part, with the induced form.
 
     The reduced form is one skew matrix per point on the quotient's
     complement coordinates; its dimensions may vary from point to point, and
-    it is nondegenerate everywhere.
+    it is nondegenerate everywhere.  ``PairingSheaf(red.quotient,
+    red.quotient, red.reduced_form).evaluate`` evaluates it on sections.
     """
 
     source: SymplecticModule
@@ -506,21 +482,19 @@ class ReducedModule:
     projection: MorphismSheaf
     reduced_form: Dict[str, Matrix]
 
+    def __post_init__(self):
+        self.reduced_form = PointFamily(
+            self.by.space.points, self.reduced_form,
+            lambda x: (self.reduced_dim(x),) * 2)
+
     def reduced_dim(self, x: str) -> int:
         return self.quotient.stalk_dim(x)
 
-    def evaluate(self, s: Section, t: Section) -> Dict[str, object]:
-        if s.over != t.over:
-            raise ValueError("sections live over different opens")
-        field = self.source.module.field
-        out = {}
-        for x in s.values:
-            row = self.reduced_form[x].vec_mat(s.values[x])
-            acc = field.zero
-            for a, b in zip(row, t.values[x]):
-                acc = acc + a * b
-            out[x] = acc
-        return out
+    @property
+    def coisotropic(self) -> bool:
+        """Whether the sub-sheaf contains its orthogonal, so that the
+        reduction is by the whole orthogonal (the classical case)."""
+        return _inside(self.perp, self.by)
 
 
 def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
@@ -533,10 +507,9 @@ def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
     if f.parent != sm.module:
         raise ParentMismatch("sub-sheaf lives in a different module")
     perp = form_perp(sm, f)
-    core = SubmoduleSheaf(sm.module,
-                          {x: subspace_intersection(f.stalks[x], perp.stalks[x])
-                           for x in sm.module.space.points})
-    quot, proj = quotient_within(sm.module, core, within=f)
+    core = SubmoduleSheaf(sm.module, f.stalks.map(
+        lambda x, stalk: subspace_intersection(stalk, perp.stalks[x])))
+    quot, proj = quotient(sm.module, core, within=f)
     reduced = {}
     for x in sm.module.space.points:
         c = quot.complements[x].matrix()
@@ -556,6 +529,14 @@ class QuotientSubmodule:
     reduction: ReducedModule
     stalks: Dict[str, Subspace]
 
+    def __post_init__(self):
+        self.stalks = PointFamily(self.space.points, self.stalks,
+                                  self.reduction.reduced_dim)
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.reduction.by.space
+
     def stalk_dim(self, x: str) -> int:
         return self.stalks[x].dim
 
@@ -567,11 +548,11 @@ def reduce_lagrangian(sm: SymplecticModule, f: SubmoduleSheaf,
     The image of their intersection is Lagrangian for the reduced form:
     isotropic of exactly half the reduced dimension at every point.
     """
-    if not classify(sm, f).coisotropic:
-        raise NotCoisotropic("reduction needs a co-isotropic sub-sheaf")
-    if not classify(sm, g).lagrangian:
-        raise NotLagrangian("second argument must be Lagrangian")
     red = reduce(sm, f)
+    if not red.coisotropic:
+        raise NotCoisotropic("reduction needs a co-isotropic sub-sheaf")
+    if g.stalks != form_perp(sm, g).stalks:
+        raise NotLagrangian("second argument must be Lagrangian")
     field = sm.module.field
     stalks = {}
     for x in sm.module.space.points:

@@ -216,6 +216,25 @@ class TestProcessLevel:
             for line in out1.splitlines():
                 json.loads(line)
 
+    @pytest.mark.parametrize("suite", ["annihilator-theorem", "transpose"])
+    def test_degenerate_form_is_skipped_not_failed(self, tmp_path, suite):
+        # rank 3 with a form of rank 2: a valid manifest, not a symplectic one
+        j = [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({
+            "format": "sheafplectic-manifest/1",
+            "space": {"points": ["a", "b"],
+                      "opens": [[], ["a"], ["b"], ["a", "b"]]},
+            "field": "Q", "rank": 3, "form": {"a": j, "b": j}}))
+        code, out = run_cli("-m", str(path), "check", "--suite", suite,
+                            "--seed-rng", "1")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert {"command": "check", "suite": suite,
+                "check": suite + "/form/skipped", "verdict": "pass",
+                "detail": "form is degenerate at point a"} in records
+        assert records[-1]["verdict"] == "pass"
+
     def test_human_rendering(self):
         code, out = run_cli("-m", "manifests/point_rank2.json", "--human",
                             "validate")

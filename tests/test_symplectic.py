@@ -13,6 +13,7 @@ from sheafplectic.sheaf import (
     make_section,
     zero_submodule,
 )
+from sheafplectic.pairing import canonical_pairing
 from sheafplectic.space import FiniteSpace, sierpinski
 from sheafplectic.symplectic import (
     BadSeed,
@@ -28,7 +29,6 @@ from sheafplectic.symplectic import (
     contract,
     darboux,
     darboux_reconstructs,
-    evaluate_covector,
     flat,
     form_perp,
     form_rank,
@@ -129,7 +129,8 @@ class TestContract:
         u = ONE_POINT.index_of(("p",))
         eta = Section(u, {"p": (F(2), F(-1))})
         s = Section(u, {"p": (F(3), F(4))})
-        assert evaluate_covector(eta, s, QQ)["p"] == F(2)
+        e = FreeModuleSheaf(ONE_POINT, QQ, 2)
+        assert canonical_pairing(e).evaluate(eta, s)["p"] == F(2)
 
 
 class TestFlat:
