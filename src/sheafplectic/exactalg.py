@@ -6,14 +6,39 @@ echelon basis, so equality of subspaces is a plain structural comparison.
 Everything here is immutable and pure; pivoting is deterministic (first
 nonzero column, first nonzero row), so repeated runs produce bit-identical
 results.
+
+``Fraction`` and ``FpElement`` are the scalars at every boundary, but the
+kernels work on plain Python ints, and this module is the only one that
+knows how a scalar is represented:
+
+- ``rref`` over Q scales each row to integers by the lcm of its
+  denominators and runs fraction-free Gauss-Jordan elimination (row
+  operations ``pv*row_i - f*row_r``, each new row divided by the gcd of its
+  entries), dividing each pivot row by its pivot once, at the end.  Over
+  F_p it works on residues, inverts the pivot with ``pow(pv, p-2, p)`` and
+  reduces once per row operation.
+- ``Matrix.__matmul__`` over Q scales the rows of the left factor and the
+  columns of the right one to integers, so each entry is one integer dot
+  product and one ``Fraction``; over F_p each entry is a residue sum.
+- ``AlternatingResidual``, the rank-two update of the Darboux
+  decomposition, keeps an alternating matrix as integers over one common
+  denominator and computes only its upper triangle.
+
+Each kernel converts its input with a type check, so an entry that is not
+the field's scalar (an ``int`` or ``float`` over Q, a residue of another
+prime) raises ``TypeError``.  The reduced echelon form is unique, so the
+integer paths return exactly what field arithmetic would.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class AmbientMismatch(ValueError):
@@ -34,7 +59,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FpElement:
     """Residue in the field with ``p`` elements, kept in ``[0, p)``."""
 
@@ -156,6 +181,74 @@ Field = Union[RationalField, PrimeField]
 
 
 # ---------------------------------------------------------------------------
+# scalars as plain ints: the one place that reads their representation
+
+_Q_ZERO = Fraction(0)
+
+
+def _ints(field: Field, row: Sequence) -> Tuple[List[int], int]:
+    """``(ints, den)`` with ``row == ints / den`` in the field: over Q
+    ``den`` is the lcm of the row's denominators, over F_p it is one.  A
+    row with an entry that is not a scalar of the field raises
+    ``TypeError``."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        ints = [a.value for a in row if isinstance(a, FpElement) and a.p == p]
+        if len(ints) == len(row):
+            return ints, 1
+    else:
+        dens = [a.denominator for a in row if isinstance(a, Fraction)]
+        if len(dens) == len(row):
+            den = math.lcm(*dens)
+            if den == 1:
+                return [a.numerator for a in row], 1
+            return [a.numerator * (den // d) for a, d in zip(row, dens)], den
+    raise TypeError("not all entries of %r are scalars of %r"
+                    % (tuple(row), field))
+
+
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
+def _residue(value: int, p: int) -> FpElement:
+    # an FpElement from a value already in [0, p), without re-reducing it
+    a = _new_object(FpElement)
+    _set_attribute(a, "value", value)
+    _set_attribute(a, "p", p)
+    return a
+
+
+def _scalars(field: Field, ints: Iterable[int], den: int) -> tuple:
+    """The field scalars ``ints / den``; ``den`` is nonzero in the field."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        inv = pow(den, p - 2, p)
+        return tuple([_residue(a * inv % p, p) for a in ints])
+    if den == 1:
+        return tuple([Fraction(a) if a else _Q_ZERO for a in ints])
+    return tuple([Fraction(a, den) if a else _Q_ZERO for a in ints])
+
+
+def _products(field: Field, rows: Iterable[Sequence],
+              cols: Iterable[Sequence]) -> List[tuple]:
+    """The dot products of each row with each column, row by row: over Q
+    each is one integer dot product of the rows and columns scaled to
+    integers and one ``Fraction``, over F_p one residue sum."""
+    left = [_ints(field, r) for r in rows]
+    right = [_ints(field, c) for c in cols]
+    if isinstance(field, PrimeField):
+        return [_scalars(field, [sum(map(mul, r, c)) for c, _ in right], 1)
+                for r, _ in left]
+    out = []
+    for r, dr in left:
+        sums = [sum(map(mul, r, c)) for c, _ in right]
+        out.append(tuple([Fraction(s, dr * dc) if s else _Q_ZERO
+                          for s, (_, dc) in zip(sums, right)]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # vectors (plain tuples of scalars)
 
 def zero_vector(field: Field, n: int) -> tuple:
@@ -163,10 +256,7 @@ def zero_vector(field: Field, n: int) -> tuple:
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar], field: Field) -> Scalar:
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return _products(field, [u], [v])[0][0]
 
 
 def add_vectors(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
@@ -225,9 +315,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        cols = other.transpose().entries
-        rows = tuple(tuple(dot(r, c, self.field) for c in cols) for r in self.entries)
-        return Matrix(self.field, self.rows, other.cols, rows)
+        rows = _products(self.field, self.entries, other.transpose().entries)
+        return Matrix(self.field, self.rows, other.cols, tuple(rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -245,12 +334,12 @@ class Matrix:
     def mat_vec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
-        return tuple(dot(r, v, self.field) for r in self.entries)
+        return tuple(r[0] for r in _products(self.field, self.entries, [v]))
 
     def vec_mat(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.rows:
             raise ValueError("vector length %d != rows %d" % (len(v), self.rows))
-        return tuple(dot(v, self.column(j), self.field) for j in range(self.cols))
+        return _products(self.field, [v], self.transpose().entries)[0]
 
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)
@@ -275,31 +364,42 @@ def rref(field: Field, rows_data: Iterable[Sequence[Scalar]], cols: int):
 
     Returns ``(reduced_rows, pivot_cols)`` with zero rows dropped, pivots
     normalised to one and pivot columns cleared.  Pivot choice is the first
-    nonzero entry scanning columns left to right, rows top to bottom.
+    nonzero entry scanning columns left to right, rows top to bottom.  The
+    elimination runs on ints: fraction-free over Q, on residues over F_p.
     """
-    work = [list(r) for r in rows_data]
+    work = [_ints(field, r)[0] for r in rows_data]
+    prime = isinstance(field, PrimeField)
+    p = field.p if prime else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
+        for pivot_row in range(r, len(work)):
+            if work[pivot_row][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [a / pv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        prow = work[r]
+        pv = prow[c]
+        if prime and pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = work[r] = [a * inv % p for a in prow]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i == r or not f:
+                continue
+            if prime:
+                work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+            else:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    reduced = [tuple(row) for row in work[:r]]
+    reduced = [_scalars(field, row, 1 if prime else row[c])
+               for row, c in zip(work, pivots)]
     return reduced, pivots
 
 
@@ -463,3 +563,92 @@ def echelon_complement(sub: Subspace, within: Optional[Subspace] = None) -> Subs
     _, pivots = rref(sub.field, coord_rows, within.dim)
     chosen = [within.basis[j] for j in range(within.dim) if j not in pivots]
     return Subspace(sub.field, sub.ambient_dim, tuple(chosen))
+
+
+# ---------------------------------------------------------------------------
+# the rank-two update of the Darboux decomposition
+
+class AlternatingResidual:
+    """An alternating matrix ``R`` worn down by rank-two steps
+    ``R <- R - (R_i / c) ^ v``, where ``(a ^ b)[k][l] = a_k b_l - b_k a_l``.
+
+    ``R`` is held as ``num / den`` with ``num`` a list of int rows: over Q
+    with ``den > 0`` and the gcd of ``num`` and ``den`` stripped after each
+    step, over F_p modulo p.  A step computes the upper triangle and
+    mirrors it, since ``R`` stays alternating.  Each step returns its pair
+    ``(R_i / c, v)`` as field scalars, or None when ``c`` vanishes.
+    """
+
+    def __init__(self, m: Matrix):
+        self.field = m.field
+        rows = [_ints(m.field, r) for r in m.entries]
+        self.den = math.lcm(*[d for _, d in rows])
+        self.num = [[a * (self.den // d) for a in r] for r, d in rows]
+
+    def matrix(self) -> Matrix:
+        return Matrix.from_rows(self.field, [_scalars(self.field, r, self.den)
+                                             for r in self.num],
+                                cols=len(self.num))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.num))
+
+    def row_is_zero(self, i: int) -> bool:
+        return not any(self.num[i])
+
+    def first_nonzero_entry(self) -> Optional[Tuple[int, int]]:
+        """The first nonzero entry above the diagonal, row by row."""
+        for i, row in enumerate(self.num):
+            for j in range(i + 1, len(row)):
+                if row[j]:
+                    return (i, j)
+        return None
+
+    def pivot(self, i: int, j: int,
+              abs_normalize: bool = False) -> Optional[tuple]:
+        """The step with ``c = R_ij`` (``|R_ij|`` when ``abs_normalize``)
+        and ``v = R_j``."""
+        c = self.num[i][j]
+        if not c:
+            return None
+        if abs_normalize:
+            if isinstance(self.field, PrimeField):
+                raise TypeError("F_%d carries no order, |.| undefined"
+                                % self.field.p)
+            c = abs(c)
+        s2 = _scalars(self.field, self.num[j], self.den)
+        return self._step(i, c, self.num[j], self.den), s2
+
+    def seed(self, i: int, t: Sequence[Scalar]) -> Optional[tuple]:
+        """The step with ``v = t``, a row of field scalars, and ``c = -t_i``."""
+        v, dv = _ints(self.field, t)
+        if not v[i]:
+            return None
+        return self._step(i, -v[i], v, dv), tuple(t)
+
+    def _step(self, i: int, c: int, v: List[int], dv: int) -> tuple:
+        # With R = num/den, v = V/dv and c = C/dv (true of both steps):
+        # R_i / c = num_i dv / (den C) and R' = (C num - num_i ^ V) / (C den).
+        field, num = self.field, self.num
+        a = num[i]
+        s1 = _scalars(field, [x * dv for x in a], self.den * c)
+        upper = [[c * m - (ak * vl - vk * al)
+                  for m, al, vl in zip(row[k + 1:], a[k + 1:], v[k + 1:])]
+                 for k, (row, ak, vk) in enumerate(zip(num, a, v))]
+        den = self.den * c
+        if isinstance(field, PrimeField):
+            p = field.p
+            upper = [[x % p for x in row] for row in upper]
+            den %= p
+        else:
+            if den < 0:
+                den = -den
+                upper = [[-x for x in row] for row in upper]
+            g = math.gcd(den, *chain.from_iterable(upper))
+            if g > 1:
+                den //= g
+                upper = [[x // g for x in row] for row in upper]
+        self.den = den
+        self.num = [[-upper[l][k - l - 1] for l in range(k)] + [0] + row
+                    for k, row in enumerate(upper)]
+        return s1

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
+    AlternatingResidual,
     Field,
     Matrix,
     Subspace,
@@ -192,43 +193,25 @@ def _wedge_coeff(field: Field, a: Sequence, b: Sequence) -> Matrix:
     return Matrix.from_rows(field, rows, cols=n)
 
 
-def _first_nonzero_entry(m: Matrix) -> Optional[Tuple[int, int]]:
-    for i in range(m.rows):
-        for j in range(i + 1, m.cols):
-            if m.entries[i][j]:
-                return (i, j)
-    return None
-
-
-def _replay(field: Field, a: Matrix, steps: tuple, seed_row: Optional[tuple],
+def _replay(a: Matrix, steps: tuple, seed_row: Optional[tuple],
             abs_normalize: bool):
     """Run a fixed pivot program at one point.
 
-    Returns ``(ok, pairs, residual)``; ``ok`` is False as soon as a pivot
-    vanishes.  Reconstruction at the point holds exactly when the final
-    residual is zero.
+    Returns ``(ok, pairs, residual)``, the residual an
+    ``AlternatingResidual``; ``ok`` is False as soon as a pivot vanishes.
+    Reconstruction at the point holds exactly when the final residual is
+    zero.
     """
-    resid = a
+    resid = AlternatingResidual(a)
     pairs = []
     for step in steps:
         if step[0] == "seed":
-            i0 = step[1]
-            t = seed_row
-            p = -t[i0]
-            if not p:
-                return False, pairs, resid
-            s1 = tuple(c / p for c in resid.row(i0))
-            s2 = t
+            pair = resid.seed(step[1], seed_row)
         else:
-            i, j = step[1], step[2]
-            p = resid.entries[i][j]
-            if not p:
-                return False, pairs, resid
-            norm = field.abs(p) if abs_normalize else p
-            s1 = tuple(c / norm for c in resid.row(i))
-            s2 = resid.row(j)
-        pairs.append((s1, s2))
-        resid = resid - _wedge_coeff(field, s1, s2)
+            pair = resid.pivot(step[1], step[2], abs_normalize)
+        if pair is None:
+            return False, pairs, resid
+        pairs.append(pair)
     return True, pairs, resid
 
 
@@ -268,25 +251,21 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
     else:
         candidate_pts = space.points
 
-    # derive the pivot program at x
+    # derive the pivot program at x, where it succeeds by construction
     steps: List[tuple] = []
-    resid = w.coeff[x]
     if seed is not None:
-        i0 = next(i for i, c in enumerate(seed_rows[x]) if c)
-        steps.append(("seed", i0))
-        ok, _, resid = _replay(field, w.coeff[x], tuple(steps), seed_rows[x],
+        steps.append(("seed", next(i for i, c in enumerate(seed_rows[x]) if c)))
+    ok, pairs, resid = _replay(w.coeff[x], tuple(steps), seed_rows.get(x),
                                abs_normalize)
-        if not ok:
-            raise BadSeed("seed pairing degenerates at %r" % x)
+    if not ok:
+        raise BadSeed("seed pairing degenerates at %r" % x)
     while True:
-        entry = _first_nonzero_entry(resid)
+        entry = resid.first_nonzero_entry()
         if entry is None:
             break
         steps.append(("entry",) + entry)
-        prev = resid
-        ok, _, resid = _replay(field, prev, (steps[-1],), None, abs_normalize)
-        if not ok or (abs_normalize
-                      and any(resid.entries[entry[0]]) ):
+        pairs.append(resid.pivot(entry[0], entry[1], abs_normalize))
+        if abs_normalize and not resid.row_is_zero(entry[0]):
             raise ValueError("absolute-value normalization only reconstructs "
                              "positive-pivot instances")
 
@@ -295,10 +274,12 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
 
     # replay pointwise; a point is good when all pivots survive and the
     # residual dies, which pins the rank at exactly twice the step count
-    good = set()
-    point_pairs: Dict[str, list] = {}
+    good = {x}
+    point_pairs: Dict[str, list] = {x: pairs}
     for y in candidate_pts:
-        ok, pairs, res = _replay(field, w.coeff[y], steps_t, seed_rows.get(y),
+        if y == x:
+            continue
+        ok, pairs, res = _replay(w.coeff[y], steps_t, seed_rows.get(y),
                                  abs_normalize)
         if ok and res.is_zero():
             good.add(y)

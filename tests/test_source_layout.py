@@ -2,7 +2,10 @@
 
 Imports happen at module level only, so a module's dependencies are all
 visible at its top.  The oracle imports nothing from the main modules but
-data types, so the paths it cross-checks are never shared with it.
+data types, so the paths it cross-checks are never shared with it.  How a
+scalar is represented is known to ``exactalg`` alone: no other module
+imports ``fractions``, names ``FpElement`` (bar the package's re-export) or
+reads ``.numerator`` / ``.denominator``.
 """
 
 import ast
@@ -41,3 +44,28 @@ def test_oracle_imports_only_data_types_from_the_package():
             names += [alias.name for alias in node.names
                       if alias.name.startswith("sheafplectic")]
     assert [n for n in names if n not in ORACLE_MAY_IMPORT] == []
+
+
+def test_scalar_representation_stays_in_exactalg():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "exactalg.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Import):
+                found += ["%s import %s" % (where, alias.name)
+                          for alias in node.names
+                          if alias.name.split(".")[0] == "fractions"]
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "fractions":
+                found.append("%s from fractions" % where)
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr in ("numerator", "denominator", "FpElement"):
+                found.append("%s .%s" % (where, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "FpElement":
+                found.append("%s FpElement" % where)
+            elif isinstance(node, ast.alias) and node.name == "FpElement" \
+                    and path.name != "__init__.py":
+                found.append("%s imports FpElement" % path.name)
+    assert found == []
