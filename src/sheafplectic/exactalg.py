@@ -45,7 +45,7 @@ class AmbientMismatch(ValueError):
     """Operands live in different ambient spaces or different fields."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def _is_prime(n: int) -> bool:
@@ -123,12 +123,13 @@ class RationalField:
         return Fraction(k)
 
     def parse(self, text: str) -> Fraction:
-        if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+        if match is None:
             raise ValueError("bad rational literal: %r" % (text,))
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
+        num, den = match.groups()
+        if den is not None and not int(den):
             raise ValueError("zero denominator in rational literal: %r" % (text,))
+        return Fraction(int(num), int(den or 1))
 
     def abs(self, a: Fraction) -> Fraction:
         return abs(a)
@@ -450,7 +451,8 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         _require_same_ambient(self, other)
-        return all(other.contains(v) for v in self.basis)
+        reduced, _ = rref(self.field, other.basis + self.basis, self.ambient_dim)
+        return len(reduced) == other.dim
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:

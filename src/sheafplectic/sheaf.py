@@ -8,6 +8,11 @@ sections over U being exactly the families that hit the subspace at every
 point of U.  Quotients pick deterministic echelon complements so that
 projections are concrete matrices.
 
+An explicitly presented presheaf is read through its germs: over each open
+U, the sections against the compatible families on U's largest minimal
+opens.  The sheaf axioms and sheafification are both built on that one
+construction, so neither enumerates covers.
+
 Every per-point map (stalks, matrices of morphisms, pairings and forms,
 quotient data, section values) is a ``PointFamily``, and all of them are
 checked one way: each point of the space appears exactly once, and each
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -28,7 +34,6 @@ from .exactalg import (
     echelon_complement,
     inverse,
     kernel_basis,
-    solve,
     subspace_intersection,
     subspace_sum,
     zero_vector,
@@ -417,142 +422,119 @@ class CompletenessReport:
         return self.s1 is None and self.s2 is None
 
 
-def check_completeness(p: ExplicitPresheaf) -> CompletenessReport:
-    """Check both sheaf axioms over every irredundant cover of every open.
+def _offsets(p: ExplicitPresheaf, cover: Cover) -> List[int]:
+    """Where each member's block starts in (+)_m F(U_m), plus the total."""
+    return list(accumulate((p.dims[m] for m in cover.members), initial=0))
 
-    S1: the joint restriction to the cover is injective.  S2: every family
-    of member sections agreeing on overlaps is the restriction of some
-    section over the target.  Redundant covers never change either verdict,
-    so only irredundant ones are inspected.
+
+def _pieces(p: ExplicitPresheaf, cover: Cover, vec: Sequence) -> Dict[int, tuple]:
+    """A vector of (+)_m F(U_m) cut into its pieces, keyed by member."""
+    at = _offsets(p, cover)
+    return {m: tuple(vec[a:b]) for m, a, b in zip(cover.members, at, at[1:])}
+
+
+def _on_basis(families: Subspace, vectors, what: str) -> Matrix:
+    """The coordinates of ``vectors`` on the families' basis, as columns."""
+    cols = [coordinates_in(families, tuple(v)) for v in vectors]
+    if None in cols:
+        raise ValueError("%s are not compatible families; presheaf is not "
+                         "functorial" % what)
+    return Matrix.from_rows(families.field, cols, cols=families.dim).transpose()
+
+
+def _germs(p: ExplicitPresheaf, u: int) -> Tuple[Cover, Matrix, Subspace]:
+    """Sections over ``u`` against their germs on the minimal cover of ``u``.
+
+    Returns the cover of ``u`` by its largest minimal opens U_m, the joint
+    restriction F(U) -> (+)_m F(U_m) with one row block per member, and the
+    compatible germ families: the (s_m) that agree on the largest minimal
+    opens of each pairwise overlap.
     """
     space = p.space
     field = p.field
-    s1_witness: Optional[Counterexample] = None
-    s2_witness: Optional[Counterexample] = None
-    for u in range(len(space.opens)):
-        for cover in space.irredundant_covers(u):
-            members = cover.members
-            offsets = []
-            total = 0
-            for m in members:
-                offsets.append(total)
-                total += p.dims[m]
-            joint_rows = []
-            for m in members:
-                joint_rows.extend(p.restrictions[(u, m)].entries)
-            joint = Matrix.from_rows(field, joint_rows, cols=p.dims[u])
+    cover = space.minimal_cover(u)
+    members = cover.members
+    at = _offsets(p, cover)
+    joint = Matrix.from_rows(field, [row for m in members
+                                     for row in p.restrictions[(u, m)].entries],
+                             cols=p.dims[u])
+    constraints = []
+    for a, b in combinations(range(len(members)), 2):
+        overlap = space.index_of(space.opens[members[a]] & space.opens[members[b]])
+        for z in space.minimal_cover(overlap).members:
+            ra = p.restrictions[(members[a], z)]
+            rb = p.restrictions[(members[b], z)]
+            for k in range(p.dims[z]):
+                row = [field.zero] * at[-1]
+                row[at[a]:at[a + 1]] = ra.entries[k]
+                row[at[b]:at[b + 1]] = [-c for c in rb.entries[k]]
+                constraints.append(tuple(row))
+    families = kernel_basis(Matrix.from_rows(field, constraints, cols=at[-1]))
+    return cover, joint, families
 
-            if s1_witness is None:
-                ker = kernel_basis(joint)
-                if ker.dim > 0:
-                    s1_witness = Counterexample(u, cover, section=ker.basis[0])
 
-            if s2_witness is None:
-                constraint_rows = []
-                for a in range(len(members)):
-                    for b in range(a + 1, len(members)):
-                        overlap = space.opens[members[a]] & space.opens[members[b]]
-                        if not overlap:
-                            continue  # the axiom only constrains nonempty overlaps
-                        w = space.index_of(overlap)
-                        ra = p.restrictions[(members[a], w)]
-                        rb = p.restrictions[(members[b], w)]
-                        for k in range(p.dims[w]):
-                            row = [field.zero] * total
-                            for c in range(ra.cols):
-                                row[offsets[a] + c] = ra.entries[k][c]
-                            for c in range(rb.cols):
-                                row[offsets[b] + c] = row[offsets[b] + c] - rb.entries[k][c]
-                            constraint_rows.append(tuple(row))
-                compatible = kernel_basis(
-                    Matrix.from_rows(field, constraint_rows, cols=total))
-                for fam in compatible.basis:
-                    if solve(joint, fam) is None:
-                        pieces = tuple(tuple(fam[offsets[i]:offsets[i] + p.dims[m]])
-                                       for i, m in enumerate(members))
-                        s2_witness = Counterexample(u, cover, family=pieces)
-                        break
-        if s1_witness is not None and s2_witness is not None:
+def check_completeness(p: ExplicitPresheaf) -> CompletenessReport:
+    """Check both sheaf axioms on every open against its minimal cover.
+
+    Over U, S1 needs the joint restriction to the largest minimal opens to
+    be injective (witness: a kernel vector), and S2 needs every compatible
+    germ family to be the germs of a section (witness: a family outside
+    the image).  That cover refines every cover of U, so on a functorial
+    presheaf ``ok`` and ``s1`` (with its open) are those of a check over
+    all covers, and so is ``s2`` while S1 holds on every open.  Where S1
+    fails, ``s2`` means a compatible germ family with no section.
+    """
+    s1: Optional[Counterexample] = None
+    s2: Optional[Counterexample] = None
+    for u in range(len(p.space.opens)):
+        cover, joint, families = _germs(p, u)
+        if s1 is None:
+            ker = kernel_basis(joint)
+            if ker.dim:
+                s1 = Counterexample(u, cover, section=ker.basis[0])
+        if s2 is None:
+            image = Subspace.span(p.field, families.ambient_dim,
+                                  joint.transpose().entries)
+            if not families.is_subspace_of(image):
+                fam = next(f for f in families.basis if not image.contains(f))
+                s2 = Counterexample(u, cover,
+                                    family=tuple(_pieces(p, cover, fam).values()))
+        if s1 is not None and s2 is not None:
             break
-    return CompletenessReport(s1_witness, s2_witness)
+    return CompletenessReport(s1, s2)
 
 
 def sheafify(p: ExplicitPresheaf):
-    """The generated sheaf: compatible families over minimal opens.
+    """The generated sheaf: compatible germ families on minimal covers.
 
-    Returns the sheafified presheaf together with the unit morphism, one
-    matrix per open, sending a section to its family of germs.  When the
-    input is already complete every unit matrix is invertible.
+    A section over U is a compatible germ family on the largest minimal
+    opens of U, and restriction to V reads each member of V's cover off a
+    member of U's cover that contains it.  Returns the sheafified
+    presheaf and the unit (a section to its germs), one matrix per open;
+    when the input is already complete every unit matrix is invertible.
     """
     space = p.space
     field = p.field
-    mins = {x: space.minimal_open(x) for x in space.points}
-
-    bases: Dict[int, Subspace] = {}
-    layouts: Dict[int, List[Tuple[str, int, int]]] = {}  # (point, offset, dim)
-    dims = []
-    for u in range(len(space.opens)):
-        pts = space.member_points(u)
-        layout = []
-        total = 0
-        for x in pts:
-            layout.append((x, total, p.dims[mins[x]]))
-            total += p.dims[mins[x]]
-        layouts[u] = layout
-        constraint_rows = []
-        for xi, (x, ox, dx) in enumerate(layout):
-            for yj, (y, oy, dy) in enumerate(layout):
-                if xi == yj:
-                    continue
-                if space.opens[mins[y]] <= space.opens[mins[x]]:
-                    r = p.restrictions[(mins[x], mins[y])]
-                    for k in range(dy):
-                        row = [field.zero] * total
-                        for c in range(dx):
-                            row[ox + c] = r.entries[k][c]
-                        row[oy + k] = row[oy + k] - field.one
-                        constraint_rows.append(tuple(row))
-        bases[u] = kernel_basis(Matrix.from_rows(field, constraint_rows, cols=total))
-        dims.append(bases[u].dim)
+    germs = [_germs(p, u) for u in range(len(space.opens))]
+    dims = [families.dim for _, _, families in germs]
 
     restrictions = {}
-    for u in range(len(space.opens)):
-        for v in range(len(space.opens)):
+    for u, (cover_u, _, families_u) in enumerate(germs):
+        for v, (cover_v, _, families_v) in enumerate(germs):
             if not space.opens[v] <= space.opens[u]:
                 continue
-            cols = []
-            positions = {x: (ox, dx) for x, ox, dx in layouts[v]}
-            for b in bases[u].basis:
-                proj = [field.zero] * sum(dx for _, _, dx in layouts[v])
-                for x, ox, dx in layouts[u]:
-                    if x in positions:
-                        tx, _ = positions[x]
-                        for c in range(dx):
-                            proj[tx + c] = b[ox + c]
-                coords = coordinates_in(bases[v], tuple(proj))
-                if coords is None:
-                    raise ValueError("projection of a compatible family escaped "
-                                     "the target family space; presheaf is not functorial")
-                cols.append(coords)
-            rows = [tuple(col[k] for col in cols) for k in range(dims[v])]
-            restrictions[(u, v)] = Matrix.from_rows(field, rows, cols=dims[u])
-
-    unit: Dict[int, Matrix] = {}
-    for u in range(len(space.opens)):
-        cols = []
-        for j in range(p.dims[u]):
-            germ = []
-            for x, _, _ in layouts[u]:
-                r = p.restrictions[(u, mins[x])]
-                germ.extend(r.column(j))
-            coords = coordinates_in(bases[u], tuple(germ))
-            if coords is None:
-                raise ValueError("section germs are incompatible; presheaf is "
-                                 "not functorial")
-            cols.append(coords)
-        rows = [tuple(col[k] for col in cols) for k in range(dims[u])]
-        unit[u] = Matrix.from_rows(field, rows, cols=p.dims[u])
-
+            via = {mv: next(m for m in cover_u.members
+                            if space.opens[mv] <= space.opens[m])
+                   for mv in cover_v.members}
+            restricted = []
+            for b in families_u.basis:
+                pieces = _pieces(p, cover_u, b)
+                restricted.append([c for mv, m in via.items()
+                                   for c in p.restrictions[(m, mv)].mat_vec(pieces[m])])
+            restrictions[(u, v)] = _on_basis(families_v, restricted,
+                                             "restricted germ families")
+    unit = {u: _on_basis(families, joint.transpose().entries, "section germs")
+            for u, (_, joint, families) in enumerate(germs)}
     return ExplicitPresheaf(space, field, dims, restrictions), unit
 
 

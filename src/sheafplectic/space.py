@@ -1,10 +1,13 @@
 """Finite topological spaces given as explicit open-set lattices.
 
 Opens are kept in a canonical order (by size, then by the sorted point
-names), so open-set indices are stable across runs.  Cover enumeration is
-restricted to irredundant covers: dropping a member that is contained in
-the union of the others never changes a presheaf verdict, and it keeps the
-search desk-sized.
+names), so open-set indices are stable across runs.  Every open U is the
+union of the minimal opens U_x of its points, and ``minimal_cover`` keeps
+the largest of them: that cover refines every other cover of U, so the
+sheaf checks need no other.  ``irredundant_covers`` enumerates all covers
+in which no member lies in the union of the others; it serves the oracle's
+independent cross-check and the tests, and its count grows
+super-exponentially with the number of opens.
 """
 
 from __future__ import annotations
@@ -119,6 +122,16 @@ class FiniteSpace:
                            [o for o in self.opens if o <= target])
 
     # -- covers ---------------------------------------------------------------
+
+    def minimal_cover(self, u: int) -> Cover:
+        """The cover of ``u`` by its largest minimal opens, in index order.
+
+        Each member U_x keeps ``x`` as a private point, so the cover is
+        irredundant, and it refines every open cover of ``u``.
+        """
+        mins = {self.minimal_open(x) for x in self.member_points(u)}
+        return Cover(u, tuple(sorted(
+            m for m in mins if not any(self.opens[m] < self.opens[n] for n in mins))))
 
     def irredundant_covers(self, u: int) -> tuple:
         """Every irredundant cover of ``u`` by open subsets, in a fixed order.

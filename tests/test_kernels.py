@@ -90,14 +90,19 @@ def ref_replay(field, rows, steps, seed_row, abs_normalize):
     return True, pairs, resid
 
 
-def ref_program(field, rows, seed_row):
+def ref_program(field, rows, seed_row, abs_normalize):
     """The pivot program ``darboux`` derives: the seed step, if any, then
-    the first nonzero entry above the diagonal until the residual dies."""
+    the first nonzero entry above the diagonal until the residual dies.
+    Under |.| a negative pivot leaves its row nonzero, where ``darboux``
+    raises; the program stops there."""
     steps = []
     if seed_row is not None:
         steps.append(("seed", next(i for i, c in enumerate(seed_row) if c)))
     while True:
-        _, _, resid = ref_replay(field, rows, steps, seed_row, False)
+        _, _, resid = ref_replay(field, rows, steps, seed_row, abs_normalize)
+        if abs_normalize and steps and steps[-1][0] == "entry" \
+                and any(resid[steps[-1][1]]):
+            return tuple(steps)
         entry = next(((i, j) for i in range(len(resid))
                       for j in range(i + 1, len(resid)) if resid[i][j]), None)
         if entry is None:
@@ -244,7 +249,7 @@ def test_replay_matches_reference(field, abs_normalize, data):
     n = data.draw(st.integers(0, 6))
     a = data.draw(alternating(field, n))
     seed_row = draw_seed_row(data, field, n)
-    steps = ref_program(field, a, seed_row)
+    steps = ref_program(field, a, seed_row, abs_normalize)
     # at the point that fixed the program every pivot survives; without
     # |.| the residual dies there, and at another point the same program
     # may stop early
@@ -254,6 +259,19 @@ def test_replay_matches_reference(field, abs_normalize, data):
     other_seed = seed_row and tuple(data.draw(st.lists(
         scalars(field), min_size=n, max_size=n)))
     check_replay(field, other, steps, other_seed, abs_normalize)
+
+
+def test_replay_abs_program_after_a_negative_pivot():
+    # without |.| the program is (0,1),(2,3); under |.| the negative first
+    # pivot changes the residual and the second pivot vanishes, so the
+    # program must be derived under |.|, as darboux derives it
+    a = [[F(c) for c in row] for row in
+         [[0, -1, 0, 1], [1, 0, -1, 0], [0, 1, 0, 1], [-1, 0, -1, 0]]]
+    plain = ref_program(QQ, a, None, False)
+    assert plain == (("entry", 0, 1), ("entry", 2, 3))
+    assert check_replay(QQ, a, plain, None, True)[0] is False
+    ok, _ = check_replay(QQ, a, ref_program(QQ, a, None, True), None, True)
+    assert ok
 
 
 def test_replay_abs_normalize_needs_an_order():

@@ -5,7 +5,9 @@ visible at its top.  The oracle imports nothing from the main modules but
 data types, so the paths it cross-checks are never shared with it.  How a
 scalar is represented is known to ``exactalg`` alone: no other module
 imports ``fractions``, names ``FpElement`` (bar the package's re-export) or
-reads ``.numerator`` / ``.denominator``.
+reads ``.numerator`` / ``.denominator``.  Cover enumeration
+(``.irredundant_covers``) is for the oracle only: the sheaf checks work on
+minimal covers, so the oracle's cover-by-cover check stays independent.
 """
 
 import ast
@@ -68,4 +70,14 @@ def test_scalar_representation_stays_in_exactalg():
             elif isinstance(node, ast.alias) and node.name == "FpElement" \
                     and path.name != "__init__.py":
                 found.append("%s imports FpElement" % path.name)
+    assert found == []
+
+
+def test_cover_enumeration_stays_with_the_oracle():
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PKG.glob("*.py"))
+             if path.name not in ("space.py", "oracle.py")
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute)
+             and node.attr == "irredundant_covers"]
     assert found == []

@@ -106,6 +106,30 @@ class TestCovers:
                     assert not d.opens[m] <= rest
 
 
+V_SPACE = FiniteSpace(("a", "b", "c"),
+                      [(), ("a",), ("a", "b"), ("a", "c"), ("a", "b", "c")])
+
+
+class TestMinimalCover:
+    def test_members_are_the_largest_minimal_opens(self):
+        full = V_SPACE.index_of(("a", "b", "c"))
+        assert [V_SPACE.opens[m] for m in V_SPACE.minimal_cover(full).members] \
+            == [frozenset("ab"), frozenset("ac")]
+        s = sierpinski()
+        assert s.minimal_cover(s.index_of(())) == Cover(0, ())
+        assert s.minimal_cover(2).members == (2,)
+
+    def test_irredundant_and_refines_every_cover(self):
+        for s in (sierpinski(), discrete(("a", "b", "c")), chain(("a", "b", "c")),
+                  V_SPACE):
+            for u in range(len(s.opens)):
+                cover = s.minimal_cover(u)
+                assert cover in s.irredundant_covers(u)
+                for other in s.irredundant_covers(u):
+                    assert all(any(s.opens[m] <= s.opens[n] for n in other.members)
+                               for m in cover.members)
+
+
 def _all_covers(space, u):
     """Every cover by open subsets, redundant ones included."""
     import itertools
