@@ -18,9 +18,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ._records import record
 from .exactalg import Matrix, PrimeField, QQ, Subspace
 from .space import FiniteSpace, UnknownPoint, validate_topology
 from .sheaf import (
@@ -72,7 +72,7 @@ class UnknownName(ValueError):
         self.symbol = symbol
 
 
-@dataclass
+@record
 class Manifest:
     space: FiniteSpace
     field: object

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+from ._records import record
 
 
 class AmbientMismatch(ValueError):
@@ -59,15 +60,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
+@record(frozen=True)
 class FpElement:
     """Residue in the field with ``p`` elements, kept in ``[0, p)``."""
 
+    __slots__ = ("value", "p")
     value: int
     p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, value: int, p: int):
+        _set_attribute(self, "value", value % p)
+        _set_attribute(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is FpElement:
+            return (self.value, self.p) == (other.value, other.p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __reduce__(self):
+        return FpElement, (self.value, self.p)
 
     def _same(self, other: "FpElement") -> None:
         if not isinstance(other, FpElement) or other.p != self.p:
@@ -104,7 +122,7 @@ class FpElement:
 Scalar = Union[Fraction, FpElement]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RationalField:
     """The ordered field of rationals; literals are ``p/q`` or ``p``."""
 
@@ -138,7 +156,7 @@ class RationalField:
         return str(a)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeField:
     """The field of integers modulo a prime; literals are plain integers."""
 
@@ -208,10 +226,6 @@ def _ints(field: Field, row: Sequence) -> Tuple[List[int], int]:
                     % (tuple(row), field))
 
 
-_new_object = object.__new__
-_set_attribute = object.__setattr__
-
-
 def _residue(value: int, p: int) -> FpElement:
     # an FpElement from a value already in [0, p), without re-reducing it
     a = _new_object(FpElement)
@@ -267,7 +281,7 @@ def add_vectors(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Matrix:
     """Dense matrix over an exact field; entries are row tuples."""
 
@@ -275,6 +289,12 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        _set_attribute(self, "field", field)
+        _set_attribute(self, "rows", rows)
+        _set_attribute(self, "cols", cols)
+        _set_attribute(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, field: Field, rows_data: Iterable[Sequence[Scalar]],
@@ -404,7 +424,7 @@ def rref(field: Field, rows_data: Iterable[Sequence[Scalar]], cols: int):
     return reduced, pivots
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subspace:
     """Row span with a canonical reduced-echelon basis.
 
@@ -414,6 +434,20 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row tuples, canonical RREF, no zero rows
+
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple):
+        _set_attribute(self, "field", field)
+        _set_attribute(self, "ambient_dim", ambient_dim)
+        _set_attribute(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is Subspace:
+            return ((self.field, self.ambient_dim, self.basis)
+                    == (other.field, other.ambient_dim, other.basis))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self.basis))
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int,

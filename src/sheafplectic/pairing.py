@@ -13,9 +13,9 @@ compare directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ._records import record
 from .exactalg import (
     Field,
     Matrix,
@@ -90,7 +90,7 @@ def canonical_pairing(e: FreeModuleSheaf) -> PairingSheaf:
     return PairingSheaf(e, e, {x: eye for x in e.space.points})
 
 
-@dataclass
+@record
 class NondegeneracyResult:
     ok: bool
     point: Optional[str] = None
@@ -172,7 +172,7 @@ def transpose_endomorphism(p: PairingSheaf, s: MorphismSheaf) -> MorphismSheaf:
     return MorphismSheaf(p.right, p.right, mats)
 
 
-@dataclass
+@record
 class InducedPairing:
     """Nondegenerate pairing of a sub-sheaf with the quotient by its annihilator."""
 
@@ -207,7 +207,7 @@ def induced_pairing(p: PairingSheaf, g: SubmoduleSheaf) -> InducedPairing:
     return InducedPairing(PairingSheaf(g, quot, gram), perp, quot, proj)
 
 
-@dataclass
+@record
 class InducedEndomorphism:
     restricted: MorphismSheaf      # the endomorphism cut down to the sub-sheaf
     induced: MorphismSheaf         # its transpose pushed to the quotient
@@ -281,7 +281,7 @@ def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
 # ---------------------------------------------------------------------------
 # exactness of the two hom functors against a probe
 
-@dataclass
+@record
 class OpenHomReport:
     open: int
     dims_into: Tuple[int, int, int]    # maps-from-probe chain dimensions
@@ -297,7 +297,7 @@ class OpenHomReport:
                 and self.from_injective and self.from_exact)
 
 
-@dataclass
+@record
 class HomExactnessReport:
     opens: List[OpenHomReport]
 

@@ -21,11 +21,11 @@ value has the shape its point needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._records import record
 from .exactalg import (
     Field,
     Matrix,
@@ -95,7 +95,7 @@ class OverlapMismatch(ValueError):
         self.point = point
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FreeModuleSheaf:
     """The free module sheaf of a fixed rank over the functional coefficients."""
 
@@ -114,7 +114,7 @@ class FreeModuleSheaf:
         return self
 
 
-@dataclass
+@record
 class Section:
     """Point-indexed values over one open set."""
 
@@ -253,7 +253,7 @@ def intersect_submodules(fs: Sequence[SubmoduleSheaf]) -> SubmoduleSheaf:
 # ---------------------------------------------------------------------------
 # morphisms (pointwise matrix families acting on sections)
 
-@dataclass
+@record
 class MorphismSheaf:
     """Pointwise matrices between stalked modules; commutes with restriction.
 
@@ -399,7 +399,7 @@ def constant_presheaf(space: FiniteSpace, field: Field, dim: int) -> ExplicitPre
     return ExplicitPresheaf(space, field, [dim] * n, restrictions)
 
 
-@dataclass
+@record
 class Counterexample:
     open: int
     cover: Cover
@@ -412,7 +412,7 @@ class Counterexample:
                                                         list(self.cover.members))
 
 
-@dataclass
+@record
 class CompletenessReport:
     s1: Optional[Counterexample]
     s2: Optional[Counterexample]
@@ -541,7 +541,7 @@ def sheafify(p: ExplicitPresheaf):
 # ---------------------------------------------------------------------------
 # quotients
 
-@dataclass
+@record
 class QuotientSheaf:
     """Stalkwise quotient with a deterministic complement of representatives.
 

@@ -12,15 +12,16 @@ super-exponentially with the number of opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from ._records import record
 
 
 class UnknownPoint(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cover:
     """Open cover of one open set, members given as open indices."""
 
@@ -28,7 +29,7 @@ class Cover:
     members: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TopologyReport:
     ok: bool
     kind: Optional[str] = None       # "MissingEmptyOrFull" | "NotClosedUnderUnion" | "NotClosedUnderIntersection"
@@ -60,6 +61,10 @@ class FiniteSpace:
             sets.add(fs)
         self.opens = tuple(sorted(sets, key=lambda o: (len(o), sorted(o))))
         self._index = {o: i for i, o in enumerate(self.opens)}
+        # answers of minimal_open per point and minimal_cover per open,
+        # filled on first use; an error is raised again on each call
+        self._minimal_open = {}
+        self._minimal_cover = {}
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSpace)
@@ -94,13 +99,16 @@ class FiniteSpace:
 
     def minimal_open(self, x: str) -> int:
         """Index of the smallest open neighbourhood of ``x``."""
+        if x in self._minimal_open:
+            return self._minimal_open[x]
         candidates = self.opens_containing(x)
         if not candidates:
             raise UnknownPoint("point %r lies in no open set" % x)
         smallest = self.opens[candidates[0]]
         for i in candidates[1:]:
             smallest = smallest & self.opens[i]
-        return self.index_of(smallest)
+        found = self._minimal_open[x] = self.index_of(smallest)
+        return found
 
     def largest_open_inside(self, allowed: Iterable[str], x: str) -> Optional[int]:
         """Largest open containing ``x`` whose points all lie in ``allowed``."""
@@ -129,9 +137,12 @@ class FiniteSpace:
         Each member U_x keeps ``x`` as a private point, so the cover is
         irredundant, and it refines every open cover of ``u``.
         """
-        mins = {self.minimal_open(x) for x in self.member_points(u)}
-        return Cover(u, tuple(sorted(
-            m for m in mins if not any(self.opens[m] < self.opens[n] for n in mins))))
+        if u not in self._minimal_cover:
+            mins = {self.minimal_open(x) for x in self.member_points(u)}
+            self._minimal_cover[u] = Cover(u, tuple(sorted(
+                m for m in mins
+                if not any(self.opens[m] < self.opens[n] for n in mins))))
+        return self._minimal_cover[u]
 
     def irredundant_covers(self, u: int) -> tuple:
         """Every irredundant cover of ``u`` by open subsets, in a fixed order.

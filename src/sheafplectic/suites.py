@@ -34,6 +34,8 @@ from .sheaf import (
     sum_submodules,
 )
 from .pairing import (
+    Degenerate,
+    NotInvariant,
     PairingSheaf,
     annihilator,
     canonical_pairing,
@@ -287,12 +289,12 @@ def suite_annihilator_theorem(ctx, rng: random.Random,
                     ok["f"] = False
             try:
                 induced_pairing(p, g)  # validates nondegeneracy internally
-            except Exception:
+            except (Degenerate, NotInvariant):
                 ok["g"] = False
             try:
                 endo = rand_invariant_endo(e, g, rng)
                 induced_endomorphism(p, endo, g)  # validates the identities
-            except Exception:
+            except (Degenerate, NotInvariant):
                 ok["h"] = False
         for part in "abcdefgh":
             out.append(_record("annihilator-theorem/%s/%s" % (src_name, part),

@@ -16,9 +16,9 @@ there is reported with the offending witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._records import record
 from .exactalg import (
     AlternatingResidual,
     Field,
@@ -107,7 +107,7 @@ def contract(w: TwoFormSheaf, s: Section) -> Section:
     return Section(s.over, {x: w.coeff[x].vec_mat(v) for x, v in s.values.items()})
 
 
-@dataclass
+@record
 class FlatResult:
     """The lowering map of a 2-form with its image, kernel and quotient."""
 
@@ -171,7 +171,7 @@ def form_rank(w: TwoFormSheaf, u: int) -> int:
 # ---------------------------------------------------------------------------
 # Darboux decomposition
 
-@dataclass
+@record
 class DarbouxResult:
     """Covector pairs reconstructing the form on a neighbourhood.
 
@@ -325,7 +325,7 @@ def darboux_reconstructs(w: TwoFormSheaf, result: DarbouxResult) -> bool:
 # ---------------------------------------------------------------------------
 # symplectic structure, classification, reduction
 
-@dataclass
+@record
 class SymplecticModule:
     """A free module sheaf with a nondegenerate alternating form."""
 
@@ -360,7 +360,7 @@ def standard_form(e: FreeModuleSheaf) -> TwoFormSheaf:
     return TwoFormSheaf(e, {x: j for x in e.space.points})
 
 
-@dataclass
+@record
 class Classification:
     isotropic: bool
     coisotropic: bool
@@ -446,7 +446,7 @@ def _isotropic_complement(sm: SymplecticModule,
     return SubmoduleSheaf(sm.module, stalks)
 
 
-@dataclass
+@record
 class ReducedModule:
     """Quotient of a sub-sheaf by its self-orthogonal part, with the induced form.
 
@@ -503,7 +503,7 @@ def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
     return ReducedModule(sm, f, perp, quot, proj, reduced)
 
 
-@dataclass
+@record
 class QuotientSubmodule:
     """Stalkwise subspaces of a reduction, in quotient coordinates."""
 

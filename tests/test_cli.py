@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from sheafplectic import suites
 from sheafplectic.cli import (
     Manifest,
     ParseError,
@@ -16,6 +18,7 @@ from sheafplectic.cli import (
     parse_manifest,
     run_command,
 )
+from sheafplectic.pairing import Degenerate, NotInvariant
 
 REPO = Path(__file__).resolve().parents[1]
 MANIFESTS = REPO / "manifests"
@@ -179,6 +182,35 @@ class TestRunCommand:
                       "--seed-rng", "5"))
         assert code == 0
         assert recs[-1]["verdict"] == "pass"
+
+
+class TestSuiteErrors:
+    """A suite reports a mathematical failure as a failing record, and lets
+    an internal error (a tripped guard, a bug) escape instead."""
+
+    @pytest.mark.parametrize("name", ["induced_pairing", "induced_endomorphism"])
+    def test_internal_error_escapes(self, monkeypatch, name):
+        def broken(*args):
+            raise RuntimeError("postcondition tripped")
+
+        monkeypatch.setattr(suites, name, broken)
+        m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
+        with pytest.raises(RuntimeError, match="postcondition tripped"):
+            suites.suite_annihilator_theorem(m, random.Random(7))
+
+    @pytest.mark.parametrize("name,part,error", [
+        ("induced_pairing", "g", Degenerate("pairing is degenerate at 'a'")),
+        ("induced_endomorphism", "h", NotInvariant("a", ()))])
+    def test_mathematical_failure_is_a_failing_record(self, monkeypatch,
+                                                      name, part, error):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(suites, name, failing)
+        m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
+        recs = suites.suite_annihilator_theorem(m, random.Random(7))
+        failed = [r["check"] for r in recs if not r["ok"]]
+        assert failed and all(c.endswith("/" + part) for c in failed)
 
 
 class TestProcessLevel:

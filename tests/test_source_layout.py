@@ -8,9 +8,15 @@ imports ``fractions``, names ``FpElement`` (bar the package's re-export) or
 reads ``.numerator`` / ``.denominator``.  Cover enumeration
 (``.irredundant_covers``) is for the oracle only: the sheaf checks work on
 minimal covers, so the oracle's cover-by-cover check stays independent.
+Every command line call pays for what importing the CLI loads, so only the
+oracle, which the CLI never imports, may use ``dataclasses``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "sheafplectic"
@@ -81,3 +87,28 @@ def test_cover_enumeration_stays_with_the_oracle():
              if isinstance(node, ast.Attribute)
              and node.attr == "irredundant_covers"]
     assert found == []
+
+
+def test_only_the_oracle_imports_dataclasses():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names and path.name != "oracle.py":
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = ("import json, sys; before = set(sys.modules); "
+             "import sheafplectic.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "sheafplectic.cli" in loaded
+    assert "sheafplectic.oracle" not in loaded
+    assert [m for m in loaded if m in ("dataclasses", "inspect")] == []

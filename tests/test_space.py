@@ -75,6 +75,29 @@ class TestMinimalOpen:
                     union = union | s.opens[s.minimal_open(x)]
                 assert union == o
 
+    def test_repeated_calls_agree(self):
+        s = V_SPACE
+        first = [s.minimal_open(x) for x in s.points]
+        covers = [s.minimal_cover(u) for u in range(len(s.opens))]
+        assert [s.minimal_open(x) for x in s.points] == first
+        assert [s.minimal_cover(u) for u in range(len(s.opens))] == covers
+        assert s.minimal_cover(4) is covers[4]
+
+    def test_invalid_spaces_raise_on_every_call(self):
+        no_full = FiniteSpace(("a", "b"), [(), ("a",)])
+        not_meet = FiniteSpace(("a", "b", "c"),
+                               [(), ("a", "b"), ("b", "c"), ("a", "b", "c")])
+        for _ in range(2):
+            with pytest.raises(UnknownPoint, match="lies in no open set"):
+                no_full.minimal_open("b")
+            with pytest.raises(UnknownPoint):
+                no_full.minimal_open("z")
+            with pytest.raises(ValueError, match="not an open set"):
+                not_meet.minimal_open("b")
+            with pytest.raises(ValueError, match="not an open set"):
+                not_meet.minimal_cover(not_meet.index_of("abc"))
+        assert no_full.minimal_cover(1) == Cover(1, (1,))
+
 
 class TestCovers:
     def test_empty_open_has_the_empty_cover(self):
