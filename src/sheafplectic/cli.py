@@ -8,7 +8,7 @@ a fixed key order and no timing, so identical inputs produce byte-identical
 output; the human rendering adds timing.
 
 Exit codes: 0 pass, 1 fail (with the witness in the report), 2 usage,
-3 unreadable or invalid input.
+3 unreadable or invalid input, 4 internal error (an ``error`` record).
 """
 
 from __future__ import annotations
@@ -493,6 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outcome(command: str, verdict: str, error: str, witness: str) -> None:
+    sys.stdout.write(json.dumps({"command": command, "verdict": verdict,
+                                 "error": error, "witness": witness}) + "\n")
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     parser = build_parser()
@@ -501,20 +506,19 @@ def main(argv=None) -> int:
         with open(args.manifest, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        sys.stdout.write(json.dumps({"command": args.command,
-                                     "verdict": "fail",
-                                     "error": "InputError",
-                                     "witness": str(exc)}) + "\n")
+        _write_outcome(args.command, "fail", "InputError", str(exc))
         return 3
     try:
         manifest = parse_manifest(text)
+        code, records = run_command(manifest, args.command, args)
     except (ParseError, ValidationError) as exc:
-        sys.stdout.write(json.dumps({"command": args.command,
-                                     "verdict": "fail",
-                                     "error": type(exc).__name__,
-                                     "witness": str(exc)}) + "\n")
+        _write_outcome(args.command, "fail", type(exc).__name__, str(exc))
         return 3
-    code, records = run_command(manifest, args.command, args)
+    except Exception as exc:
+        # not an input error and not a mathematical fail: a fault of the
+        # program, reported apart from both
+        _write_outcome(args.command, "error", type(exc).__name__, str(exc))
+        return 4
     sys.stdout.write(_render(records, args.human, time.monotonic() - started))
     return code
 

@@ -48,6 +48,10 @@ class AmbientMismatch(ValueError):
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
+# the shared rational zero and one (a ``Fraction`` is immutable)
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -131,11 +135,11 @@ class RationalField:
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q_ONE
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -201,9 +205,6 @@ Field = Union[RationalField, PrimeField]
 
 # ---------------------------------------------------------------------------
 # scalars as plain ints: the one place that reads their representation
-
-_Q_ZERO = Fraction(0)
-
 
 def _ints(field: Field, row: Sequence) -> Tuple[List[int], int]:
     """``(ints, den)`` with ``row == ints / den`` in the field: over Q

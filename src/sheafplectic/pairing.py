@@ -306,91 +306,67 @@ class HomExactnessReport:
         return all(r.ok for r in self.opens)
 
 
-def _family_map(field: Field, layout_dom, layout_cod, image_of_unit):
-    """Matrix of a pointwise-linear map between spaces of matrix families.
-
-    ``layout_*`` lists (point, rows, cols); ``image_of_unit(x, i, j)`` is
-    the image family component at the same point, as a matrix.
-    """
-    dom_total = sum(r * c for _, r, c in layout_dom)
-    cod_total = sum(r * c for _, r, c in layout_cod)
-    cod_offset = {}
-    off = 0
-    for x, r, c in layout_cod:
-        cod_offset[x] = (off, r, c)
-        off += r * c
-    columns = []
-    for x, r, c in layout_dom:
-        for i in range(r):
-            for j in range(c):
-                vec = [field.zero] * cod_total
-                img = image_of_unit(x, i, j)
-                ox, ir, ic = cod_offset[x]
-                for a in range(ir):
-                    for b in range(ic):
-                        vec[ox + a * ic + b] = img.entries[a][b]
-                columns.append(tuple(vec))
-    rows = [tuple(col[k] for col in columns) for k in range(cod_total)]
-    return Matrix.from_rows(field, rows, cols=dom_total)
+def _kron_eye(a: Matrix, n: int) -> Matrix:
+    """``a (x) I_n``: X -> a X on n-column matrices flattened row by row."""
+    rows = []
+    for r in a.entries:
+        for k in range(n):
+            row = [a.field.zero] * (a.cols * n)
+            row[k::n] = r
+            rows.append(tuple(row))
+    return Matrix(a.field, a.rows * n, a.cols * n, tuple(rows))
 
 
-def _unit_matrix(field: Field, r: int, c: int, i: int, j: int) -> Matrix:
-    rows = [[field.zero] * c for _ in range(r)]
-    rows[i][j] = field.one
-    return Matrix.from_rows(field, [tuple(row) for row in rows], cols=c)
+def _eye_kron(n: int, b: Matrix) -> Matrix:
+    """``I_n (x) b``: X -> X b^T on n-row matrices flattened row by row."""
+    pad = (b.field.zero,) * b.cols
+    return Matrix(b.field, n * b.rows, n * b.cols, tuple(
+        pad * i + r + pad * (n - 1 - i) for i in range(n) for r in b.entries))
+
+
+def _exactness(first: Matrix, second: Matrix) -> Tuple[Tuple[int, int, int],
+                                                        bool, bool]:
+    """Chain dimensions, injectivity of ``first`` and image-equals-kernel
+    for ``0 -> A -first-> B -second-> C``."""
+    image = Subspace.span(first.field, first.rows, first.transpose().entries)
+    return ((first.cols, first.rows, second.rows),
+            kernel_basis(first).dim == 0, image == kernel_basis(second))
+
+
+def _direct_sum(checks) -> Tuple[Tuple[int, int, int], bool, bool]:
+    """The verdict on a direct sum of chains: dimensions add up, and it is
+    injective or exact when every summand is."""
+    return (tuple(sum(c[0][k] for c in checks) for k in range(3)),
+            all(c[1] for c in checks), all(c[2] for c in checks))
 
 
 def check_hom_exactness(f: SubmoduleSheaf,
                         probe: FreeModuleSheaf) -> HomExactnessReport:
     """Apply both hom functors to 0 -> F -> E -> E/F -> 0 over every open.
 
-    Morphism families over an open split point by point, so the hom modules
-    are flattened products of matrix spaces; exactness is checked as
-    injectivity plus image-equals-kernel of canonical subspaces.
+    Morphism families over an open split point by point, so each hom
+    module over U is the direct sum of its points' matrix spaces.  Each
+    point is checked once, by injectivity plus image-equals-kernel of
+    canonical subspaces, on the Kronecker matrices of X -> B^T X, X -> P X
+    (maps from the probe) and X -> X P, X -> X B^T (maps to it), with B
+    the stalk basis and P the projection.  An open sums its points'
+    dimensions and holds when all of its points do.
     """
     e = f.parent
     if probe.space != e.space or probe.field != e.field:
         raise ParentMismatch("probe lives on a different space or field")
-    field = e.field
-    quot, proj = quotient(e, f)
+    _, proj = quotient(e, f)
+    pr = probe.rank
+    at = {}
+    for x in e.space.points:
+        b, q = f.stalks[x].matrix(), proj.mats[x]
+        at[x] = (_exactness(_kron_eye(b.transpose(), pr), _kron_eye(q, pr)),
+                 _exactness(_eye_kron(pr, q.transpose()), _eye_kron(pr, b)))
     reports = []
     for u in range(len(e.space.opens)):
         pts = e.space.member_points(u)
-        pr = probe.rank
-        lay_f = [(x, f.stalks[x].dim, pr) for x in pts]
-        lay_e = [(x, e.rank, pr) for x in pts]
-        lay_q = [(x, quot.stalk_dim(x), pr) for x in pts]
-
-        inc = _family_map(
-            field, lay_f, lay_e,
-            lambda x, i, j: f.stalks[x].matrix().transpose()
-            @ _unit_matrix(field, f.stalks[x].dim, pr, i, j))
-        push = _family_map(
-            field, lay_e, lay_q,
-            lambda x, i, j: proj.mats[x] @ _unit_matrix(field, e.rank, pr, i, j))
-        into_inj = kernel_basis(inc).dim == 0
-        image = Subspace.span(field, inc.rows,
-                              [inc.column(j) for j in range(inc.cols)])
-        into_exact = image == kernel_basis(push)
-        d_into = (inc.cols, inc.rows, push.rows)
-
-        lay_fc = [(x, pr, f.stalks[x].dim) for x in pts]
-        lay_ec = [(x, pr, e.rank) for x in pts]
-        lay_qc = [(x, pr, quot.stalk_dim(x)) for x in pts]
-        pull_q = _family_map(
-            field, lay_qc, lay_ec,
-            lambda x, i, j: _unit_matrix(field, pr, quot.stalk_dim(x), i, j)
-            @ proj.mats[x])
-        pull_i = _family_map(
-            field, lay_ec, lay_fc,
-            lambda x, i, j: _unit_matrix(field, pr, e.rank, i, j)
-            @ f.stalks[x].matrix().transpose())
-        from_inj = kernel_basis(pull_q).dim == 0
-        image2 = Subspace.span(field, pull_q.rows,
-                               [pull_q.column(j) for j in range(pull_q.cols)])
-        from_exact = image2 == kernel_basis(pull_i)
-        d_from = (pull_q.cols, pull_q.rows, pull_i.rows)
-
+        d_into, into_inj, into_exact = _direct_sum([at[x][0] for x in pts])
+        d_from, from_inj, from_exact = _direct_sum([at[x][1] for x in pts])
         reports.append(OpenHomReport(u, d_into, d_from,
                                      into_inj, into_exact, from_inj, from_exact))
     return HomExactnessReport(reports)

@@ -363,30 +363,22 @@ def sections_presheaf(f: SubmoduleSheaf) -> ExplicitPresheaf:
     """Concrete presentation of the sections of a stalkwise sub-sheaf.
 
     The basis over each open is the point-by-point stalk basis, so the
-    restriction matrices are plain coordinate selections.
+    restriction matrices are plain coordinate selections: each one's rows
+    are rows of the identity over the larger open, built once per open.
     """
     space = f.space
     field = f.field
-    layout = {}
-    dims = []
-    for u in range(len(space.opens)):
-        slots = []
-        for x in space.member_points(u):
-            for i in range(f.stalks[x].dim):
-                slots.append((x, i))
-        layout[u] = {slot: k for k, slot in enumerate(slots)}
-        dims.append(len(slots))
+    slots = [[(x, i) for x in space.member_points(u)
+              for i in range(f.stalks[x].dim)]
+             for u in range(len(space.opens))]
+    dims = [len(s) for s in slots]
     restrictions = {}
-    for u in range(len(space.opens)):
-        for v in range(len(space.opens)):
-            if not space.opens[v] <= space.opens[u]:
-                continue
-            rows = []
-            for slot in layout[v]:
-                row = [field.zero] * dims[u]
-                row[layout[u][slot]] = field.one
-                rows.append(tuple(row))
-            restrictions[(u, v)] = Matrix.from_rows(field, rows, cols=dims[u])
+    for u, slots_u in enumerate(slots):
+        eye = dict(zip(slots_u, Matrix.identity(field, dims[u]).entries))
+        for v, slots_v in enumerate(slots):
+            if space.opens[v] <= space.opens[u]:
+                restrictions[(u, v)] = Matrix.from_rows(
+                    field, [eye[slot] for slot in slots_v], cols=dims[u])
     return ExplicitPresheaf(space, field, dims, restrictions)
 
 

@@ -6,6 +6,7 @@ the stated wall-clock budgets are asserted.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -320,7 +321,8 @@ def test_criterion_8_cli_end_to_end():
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "sheafplectic", "-m", manifest, *cmd],
-                capture_output=True, cwd=REPO)
+                capture_output=True, cwd=REPO,
+                env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
             assert proc.returncode == expected
             runs.append(proc.stdout)
         assert runs[0] == runs[1], "reports differ between runs for %s" % manifest

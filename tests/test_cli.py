@@ -15,6 +15,7 @@ from sheafplectic.cli import (
     ValidationError,
     build_parser,
     emit_manifest,
+    main,
     parse_manifest,
     run_command,
 )
@@ -32,9 +33,13 @@ MINIMAL = json.dumps({
 })
 
 
+# the package of this checkout, whether or not it is installed
+CLI_ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "sheafplectic", *argv],
-                          capture_output=True, text=True, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO, env=CLI_ENV)
     return proc.returncode, proc.stdout
 
 
@@ -211,6 +216,44 @@ class TestSuiteErrors:
         recs = suites.suite_annihilator_theorem(m, random.Random(7))
         failed = [r["check"] for r in recs if not r["ok"]]
         assert failed and all(c.endswith("/" + part) for c in failed)
+
+
+class TestInternalErrors:
+    """An exception that is neither an input error nor a mathematical
+    failure ends the command with an ``error`` record and exit code 4."""
+
+    RECORD = {"command": "check", "verdict": "error", "error": "RuntimeError",
+              "witness": "postcondition tripped"}
+
+    def test_main_reports_error_record(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("postcondition tripped")
+
+        monkeypatch.setattr(suites, "induced_pairing", broken)
+        code = main(["-m", str(MANIFESTS / "discrete_f3.json"), "check",
+                     "--suite", "annihilator-theorem"])
+        assert code == 4
+        assert [json.loads(line) for line in
+                capsys.readouterr().out.splitlines()] == [self.RECORD]
+
+    def test_process_exits_four_without_traceback(self, tmp_path):
+        # sitecustomize runs at interpreter start, before the command
+        (tmp_path / "sitecustomize.py").write_text(
+            "from sheafplectic import suites\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('postcondition tripped')\n"
+            "suites.induced_pairing = broken\n")
+        env = dict(CLI_ENV, PYTHONPATH=os.pathsep.join(
+            [str(tmp_path), CLI_ENV["PYTHONPATH"]]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sheafplectic", "-m",
+             "manifests/discrete_f3.json", "check", "--suite",
+             "annihilator-theorem"],
+            capture_output=True, text=True, cwd=REPO, env=env)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert [json.loads(line) for line in
+                proc.stdout.splitlines()] == [self.RECORD]
 
 
 class TestProcessLevel:

@@ -3,10 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace, rank_of
+from sheafplectic.exactalg import (
+    Matrix,
+    PrimeField,
+    QQ,
+    Subspace,
+    kernel_basis,
+    rank_of,
+)
 from sheafplectic.pairing import (
     Degenerate,
+    HomExactnessReport,
     NotInvariant,
+    OpenHomReport,
     PairingSheaf,
     annihilator,
     canonical_pairing,
@@ -28,11 +37,13 @@ from sheafplectic.sheaf import (
     SubmoduleSheaf,
     full_submodule,
     make_section,
+    quotient,
     restrict_section,
     sections_basis,
     zero_submodule,
 )
 from sheafplectic.space import FiniteSpace, sierpinski
+from sheafplectic.suites import rand_space, rand_stalks
 
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])
 
@@ -400,3 +411,102 @@ class TestHomExactness:
         f = SubmoduleSheaf(e, {"a": qspan(2, [[1, 1]]), "b": qspan(2, [])})
         probe = FreeModuleSheaf(sp, QQ, 2)
         assert check_hom_exactness(f, probe).ok
+
+
+# ---------------------------------------------------------------------------
+# reference: the hom modules over each open as flattened matrix families,
+# one block-diagonal matrix per map, built column by column from units
+
+def _family_map(field, layout_dom, layout_cod, image_of_unit):
+    dom_total = sum(r * c for _, r, c in layout_dom)
+    cod_total = sum(r * c for _, r, c in layout_cod)
+    cod_offset = {}
+    off = 0
+    for x, r, c in layout_cod:
+        cod_offset[x] = (off, r, c)
+        off += r * c
+    columns = []
+    for x, r, c in layout_dom:
+        for i in range(r):
+            for j in range(c):
+                vec = [field.zero] * cod_total
+                img = image_of_unit(x, i, j)
+                ox, ir, ic = cod_offset[x]
+                for a in range(ir):
+                    for b in range(ic):
+                        vec[ox + a * ic + b] = img.entries[a][b]
+                columns.append(tuple(vec))
+    rows = [tuple(col[k] for col in columns) for k in range(cod_total)]
+    return Matrix.from_rows(field, rows, cols=dom_total)
+
+
+def _unit_matrix(field, r, c, i, j):
+    rows = [[field.zero] * c for _ in range(r)]
+    rows[i][j] = field.one
+    return Matrix.from_rows(field, [tuple(row) for row in rows], cols=c)
+
+
+def ref_check_hom_exactness(f, probe):
+    e = f.parent
+    field = e.field
+    quot, proj = quotient(e, f)
+    reports = []
+    for u in range(len(e.space.opens)):
+        pts = e.space.member_points(u)
+        pr = probe.rank
+        lay_f = [(x, f.stalks[x].dim, pr) for x in pts]
+        lay_e = [(x, e.rank, pr) for x in pts]
+        lay_q = [(x, quot.stalk_dim(x), pr) for x in pts]
+
+        inc = _family_map(
+            field, lay_f, lay_e,
+            lambda x, i, j: f.stalks[x].matrix().transpose()
+            @ _unit_matrix(field, f.stalks[x].dim, pr, i, j))
+        push = _family_map(
+            field, lay_e, lay_q,
+            lambda x, i, j: proj.mats[x] @ _unit_matrix(field, e.rank, pr, i, j))
+        into_inj = kernel_basis(inc).dim == 0
+        image = Subspace.span(field, inc.rows,
+                              [inc.column(j) for j in range(inc.cols)])
+        into_exact = image == kernel_basis(push)
+        d_into = (inc.cols, inc.rows, push.rows)
+
+        lay_fc = [(x, pr, f.stalks[x].dim) for x in pts]
+        lay_ec = [(x, pr, e.rank) for x in pts]
+        lay_qc = [(x, pr, quot.stalk_dim(x)) for x in pts]
+        pull_q = _family_map(
+            field, lay_qc, lay_ec,
+            lambda x, i, j: _unit_matrix(field, pr, quot.stalk_dim(x), i, j)
+            @ proj.mats[x])
+        pull_i = _family_map(
+            field, lay_ec, lay_fc,
+            lambda x, i, j: _unit_matrix(field, pr, e.rank, i, j)
+            @ f.stalks[x].matrix().transpose())
+        from_inj = kernel_basis(pull_q).dim == 0
+        image2 = Subspace.span(field, pull_q.rows,
+                               [pull_q.column(j) for j in range(pull_q.cols)])
+        from_exact = image2 == kernel_basis(pull_i)
+        d_from = (pull_q.cols, pull_q.rows, pull_i.rows)
+
+        reports.append(OpenHomReport(u, d_into, d_from,
+                                     into_inj, into_exact, from_inj, from_exact))
+    return HomExactnessReport(reports)
+
+
+# one point below two others: the space whose minimal opens overlap
+V_SPACE = FiniteSpace(("a", "b", "c"),
+                      [(), ("a",), ("a", "b"), ("a", "c"), ("a", "b", "c")])
+
+
+def test_hom_exactness_matches_family_reference():
+    """The whole report, every open's dimensions and verdicts, on 300 draws
+    over F_2, F_3 and Q: up to four points, rank 0-3, probe rank 0-2."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        space = V_SPACE if rng.random() < 0.2 else rand_space(rng, 4)
+        field = rng.choice([PrimeField(2), PrimeField(3), QQ])
+        e = FreeModuleSheaf(space, field, rng.randint(0, 3))
+        f = rand_stalks(e, rng)
+        probe = FreeModuleSheaf(space, field, rng.randint(0, 2))
+        assert (check_hom_exactness(f, probe)
+                == ref_check_hom_exactness(f, probe)), "seed %d" % seed

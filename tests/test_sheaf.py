@@ -133,6 +133,17 @@ class TestCompleteness:
         assert rep.s1.cover.members == ()
 
 
+def _projection_restrictions():
+    """Sierpinski, dims 0, 1, 2: the open {a, b} restricts to {a} by
+    keeping its first coordinate."""
+    return {(0, 0): Matrix.identity(QQ, 0),
+            (1, 1): Matrix.identity(QQ, 1),
+            (2, 2): Matrix.identity(QQ, 2),
+            (1, 0): Matrix.from_rows(QQ, [], cols=1),
+            (2, 0): Matrix.from_rows(QQ, [], cols=2),
+            (2, 1): Matrix.from_rows(QQ, [[F(1), F(0)]])}
+
+
 class TestSheafify:
     def test_complete_presheaf_keeps_its_shape(self):
         sp = sierpinski()
@@ -156,14 +167,7 @@ class TestSheafify:
 
     def test_projection_presheaf_on_sierpinski(self):
         sp = sierpinski()
-        dims = [0, 1, 2]
-        r = {(0, 0): Matrix.identity(QQ, 0),
-             (1, 1): Matrix.identity(QQ, 1),
-             (2, 2): Matrix.identity(QQ, 2),
-             (1, 0): Matrix.from_rows(QQ, [], cols=1),
-             (2, 0): Matrix.from_rows(QQ, [], cols=2),
-             (2, 1): Matrix.from_rows(QQ, [[F(1), F(0)]])}
-        p = ExplicitPresheaf(sp, QQ, dims, r)
+        p = ExplicitPresheaf(sp, QQ, [0, 1, 2], _projection_restrictions())
         sh, unit = sheafify(p)
         assert sh.dims[sp.index_of(("a", "b"))] == 2
         assert check_completeness(sh).ok
@@ -172,6 +176,35 @@ class TestSheafify:
         sp = discrete(("a", "b"))
         sh, _ = sheafify(constant_presheaf(sp, QQ, 2))
         assert check_completeness(sh).ok
+
+
+class TestExplicitPresheafRejections:
+    def test_accepts_the_projection_presheaf(self):
+        ExplicitPresheaf(sierpinski(), QQ, [0, 1, 2], _projection_restrictions())
+
+    def test_one_dimension_per_open(self):
+        with pytest.raises(ValueError, match="need one dimension per open set"):
+            ExplicitPresheaf(sierpinski(), QQ, [0, 1], _projection_restrictions())
+
+    def test_missing_restriction(self):
+        r = _projection_restrictions()
+        del r[(2, 1)]
+        with pytest.raises(ValueError, match=r"missing restriction \(2, 1\)"):
+            ExplicitPresheaf(sierpinski(), QQ, [0, 1, 2], r)
+
+    def test_restriction_shape(self):
+        r = _projection_restrictions()
+        r[(2, 1)] = Matrix.from_rows(QQ, [[F(1)]])
+        with pytest.raises(ValueError, match=r"restriction \(2, 1\) has shape "
+                                             r"1x1, expected 1x2"):
+            ExplicitPresheaf(sierpinski(), QQ, [0, 1, 2], r)
+
+    def test_self_restriction_is_identity(self):
+        r = _projection_restrictions()
+        r[(2, 2)] = Matrix.from_rows(QQ, [[F(1), F(0)], [F(0), F(2)]])
+        with pytest.raises(ValueError,
+                           match=r"restriction \(2, 2\) is not the identity"):
+            ExplicitPresheaf(sierpinski(), QQ, [0, 1, 2], r)
 
 
 class TestRestrictionFunctoriality:
