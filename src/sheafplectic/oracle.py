@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exactalg import Field, Matrix, PrimeField, Subspace
-from .sheaf import ExplicitPresheaf, Section, SubmoduleSheaf
-from .pairing import PairingSheaf
+from .sheaf import ExplicitPresheaf, PairingSheaf, Section, SubmoduleSheaf
 
 
 class BudgetExceeded(ValueError):

@@ -1,9 +1,9 @@
 """Bilinear pairings of module sheaves: duality, annihilators, transposes.
 
-A pairing is a family of gram matrices, one per point, evaluating two
-sections pointwise.  The gram family is a ``PointFamily``, checked like
-every per-point map: each point exactly once, each matrix with the shape of
-the two stalks there.  An alternating 2-form is a pairing too, so one
+A pairing (``PairingSheaf``, a data type kept in ``sheaf``) is a family of
+gram matrices, one per point, evaluating two sections pointwise.  The gram
+family is a ``PointFamily``, checked like every per-point map: each point
+exactly once, each matrix with the shape of the two stalks there.  An alternating 2-form is a pairing too, so one
 evaluation serves pairings, forms and reduced forms alike.  Duals of free
 finite-rank sheaves are identified with the sheaves themselves (functionals
 are row vectors on the standard basis), which turns every "within an
@@ -13,15 +13,13 @@ compare directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ._records import record
 from .exactalg import (
-    Field,
     Matrix,
     Subspace,
     coordinates_in,
-    dot,
     inverse,
     kernel_basis,
     orthogonal_complement,
@@ -31,14 +29,13 @@ from .exactalg import (
 from .sheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
+    PairingSheaf,
     ParentMismatch,
-    PointFamily,
     QuotientSheaf,
     Section,
     SubmoduleSheaf,
     quotient,
 )
-from .space import FiniteSpace
 
 
 class Degenerate(ValueError):
@@ -50,38 +47,6 @@ class NotInvariant(ValueError):
         super().__init__("stalk at %r is not invariant, witness %r" % (point, vector))
         self.point = point
         self.vector = vector
-
-
-class PairingSheaf:
-    """A bilinear morphism of two stalked modules into the coefficients."""
-
-    def __init__(self, left, right, gram: Dict[str, Matrix]):
-        if left.space != right.space:
-            raise ParentMismatch("pairing sides live on different spaces")
-        self.left = left
-        self.right = right
-        self.gram = PointFamily(
-            left.space.points, gram,
-            lambda x: (left.stalk_dim(x), right.stalk_dim(x)))
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.left.space
-
-    @property
-    def field(self) -> Field:
-        return self.left.field
-
-    def evaluate(self, s: Section, t: Section) -> Dict[str, object]:
-        """The scalar section x -> s(x)^T gram t(x) over the common open."""
-        if s.over != t.over:
-            raise ValueError("sections live over different opens")
-        return {x: dot(self.gram[x].vec_mat(v), t.values[x], self.field)
-                for x, v in s.values.items()}
-
-    def swapped(self) -> "PairingSheaf":
-        return PairingSheaf(self.right, self.left,
-                            self.gram.map(lambda x, g: g.transpose()))
 
 
 def canonical_pairing(e: FreeModuleSheaf) -> PairingSheaf:

@@ -16,7 +16,9 @@ construction, so neither enumerates covers.
 Every per-point map (stalks, matrices of morphisms, pairings and forms,
 quotient data, section values) is a ``PointFamily``, and all of them are
 checked one way: each point of the space appears exactly once, and each
-value has the shape its point needs.
+value has the shape its point needs.  Pairings and 2-forms are such data
+too, so their types live here; their algebra is in ``pairing`` and
+``symplectic``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .exactalg import (
     Matrix,
     Subspace,
     coordinates_in,
+    dot,
     echelon_complement,
     inverse,
     kernel_basis,
@@ -307,6 +310,54 @@ class MorphismSheaf:
         return MorphismSheaf(self.target, self.source, mats)
 
 
+class PairingSheaf:
+    """A bilinear morphism of two stalked modules into the coefficients."""
+
+    def __init__(self, left, right, gram: Dict[str, Matrix]):
+        if left.space != right.space:
+            raise ParentMismatch("pairing sides live on different spaces")
+        self.left = left
+        self.right = right
+        self.gram = PointFamily(
+            left.space.points, gram,
+            lambda x: (left.stalk_dim(x), right.stalk_dim(x)))
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.left.space
+
+    @property
+    def field(self) -> Field:
+        return self.left.field
+
+    def evaluate(self, s: Section, t: Section) -> Dict[str, object]:
+        """The scalar section x -> s(x)^T gram t(x) over the common open."""
+        if s.over != t.over:
+            raise ValueError("sections live over different opens")
+        return {x: dot(self.gram[x].vec_mat(v), t.values[x], self.field)
+                for x, v in s.values.items()}
+
+    def swapped(self) -> "PairingSheaf":
+        return PairingSheaf(self.right, self.left,
+                            self.gram.map(lambda x, g: g.transpose()))
+
+
+class TwoFormSheaf(PairingSheaf):
+    """A pairing of a free module sheaf with itself whose gram matrices,
+    the coefficients of the form, are alternating at every point."""
+
+    def __init__(self, module: FreeModuleSheaf, coeff: Dict[str, Matrix]):
+        super().__init__(module, module, coeff)
+        for x, a in self.gram.items():
+            if not a.is_skew():
+                raise ValueError("coefficients at %r are not alternating" % x)
+        self.module = module
+
+    @property
+    def coeff(self) -> PointFamily:
+        return self.gram
+
+
 # ---------------------------------------------------------------------------
 # explicitly presented presheaves and the completeness checker
 
@@ -337,9 +388,11 @@ class ExplicitPresheaf:
                         raise ValueError("restriction (%d, %d) has shape %dx%d, "
                                          "expected %dx%d" % (u, v, m.rows, m.cols,
                                                              self.dims[v], self.dims[u]))
+        one, zero = field.one, field.zero
         for u in range(len(space.opens)):
-            eye = Matrix.identity(field, self.dims[u])
-            if self.restrictions[(u, u)].entries != eye.entries:
+            # row i must be the i-th unit row: one at i, zero elsewhere
+            if any(row[i] != one or row.count(zero) != len(row) - 1
+                   for i, row in enumerate(self.restrictions[(u, u)].entries)):
                 raise ValueError("restriction (%d, %d) is not the identity" % (u, u))
 
     def functoriality_failures(self) -> List[Tuple[int, int, int]]:

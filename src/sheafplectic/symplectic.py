@@ -2,12 +2,13 @@
 constant-rank checks, constructive Darboux decompositions, classification
 of sub-sheaves and symplectic reduction.
 
-Covectors are sections whose point values are row vectors; a 2-form is a
-pairing of a free module sheaf with itself whose gram family of coefficient
-matrices is alternating: skew with zero diagonal, even in characteristic
-two.  Like every per-point map, each coefficient, isomorphism and reduced
-form family is a ``PointFamily``, checked one way: each point exactly once,
-each matrix with the shape its point needs.  The Darboux routine fixes its
+Covectors are sections whose point values are row vectors; a 2-form
+(``TwoFormSheaf``, a data type kept in ``sheaf``) is a pairing of a free
+module sheaf with itself whose gram family of coefficient matrices is
+alternating: skew with zero diagonal, even in characteristic two.  Like
+every per-point map, each coefficient, isomorphism and reduced form family
+is a ``PointFamily``, checked one way: each point exactly once, each matrix
+with the shape its point needs.  The Darboux routine fixes its
 pivots at the requested point and then keeps exactly the largest open
 neighbourhood on which every pivot stays nonzero and the residual dies; on
 a finite space that floor is the minimal open of the point, and failure
@@ -40,9 +41,10 @@ from .sheaf import (
     QuotientSheaf,
     Section,
     SubmoduleSheaf,
+    TwoFormSheaf,
     quotient,
 )
-from .pairing import PairingSheaf, annihilator
+from .pairing import annihilator
 from .space import FiniteSpace, UnknownPoint
 
 
@@ -80,22 +82,6 @@ class NotLagrangian(ValueError):
 
 class NotCoisotropic(ValueError):
     pass
-
-
-class TwoFormSheaf(PairingSheaf):
-    """A pairing of a free module sheaf with itself whose gram matrices,
-    the coefficients of the form, are alternating at every point."""
-
-    def __init__(self, module: FreeModuleSheaf, coeff: Dict[str, Matrix]):
-        super().__init__(module, module, coeff)
-        for x, a in self.gram.items():
-            if not a.is_skew():
-                raise ValueError("coefficients at %r are not alternating" % x)
-        self.module = module
-
-    @property
-    def coeff(self) -> PointFamily:
-        return self.gram
 
 
 def contract(w: TwoFormSheaf, s: Section) -> Section:

@@ -11,6 +11,7 @@ from sheafplectic import suites
 from sheafplectic.cli import (
     Manifest,
     ParseError,
+    SUITE_NAMES,
     UnknownName,
     ValidationError,
     build_parser,
@@ -187,6 +188,20 @@ class TestRunCommand:
                       "--seed-rng", "5"))
         assert code == 0
         assert recs[-1]["verdict"] == "pass"
+
+
+class TestSuiteNames:
+    def test_cli_names_every_suite(self):
+        assert SUITE_NAMES == tuple(sorted(suites.SUITES))
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-m", str(MANIFESTS / "point_rank2.json"), "check",
+                  "--suite", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sheafplectic")
+        assert "invalid choice: 'nope'" in err
 
 
 class TestSuiteErrors:
