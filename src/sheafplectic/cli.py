@@ -246,12 +246,8 @@ def parse_manifest(text: str) -> Manifest:
     return Manifest(space, field, rank, form, pairings, submodules, morphisms)
 
 
-def _format_scalar(field, a):
-    return field.format(a)
-
-
 def _format_matrix(field, m: Matrix) -> list:
-    return [[_format_scalar(field, a) for a in row] for row in m.entries]
+    return [[field.format(a) for a in row] for row in m.entries]
 
 
 def emit_manifest(m: Manifest) -> str:
@@ -376,9 +372,9 @@ def _cmd_darboux(m: Manifest, args) -> Tuple[int, List[dict]]:
         "neighborhood": _open_names(m.space, res.neighborhood),
         "half_rank": res.half_rank,
         "pairs": [
-            {"first": {x: [_format_scalar(m.field, a) for a in s1.values[x]]
+            {"first": {x: [m.field.format(a) for a in s1.values[x]]
                        for x in m.space.member_points(res.neighborhood)},
-             "second": {x: [_format_scalar(m.field, a) for a in s2.values[x]]
+             "second": {x: [m.field.format(a) for a in s2.values[x]]
                         for x in m.space.member_points(res.neighborhood)}}
             for s1, s2 in res.pairs],
         "pivots": [list(step) for step in res.pivots],

@@ -28,6 +28,12 @@ Each kernel converts its input with a type check, so an entry that is not
 the field's scalar (an ``int`` or ``float`` over Q, a residue of another
 prime) raises ``TypeError``.  The reduced echelon form is unique, so the
 integer paths return exactly what field arithmetic would.
+
+Each subspace question takes at most one elimination, never one per
+vector: ``coordinates`` (and with it ``contains``, ``is_subspace_of`` and
+``echelon_complement``) reads coordinates off the pivot columns of a
+canonical basis and checks them on ints, an intersection is one Zassenhaus
+elimination, and a yes/no question is read off a rank already at hand.
 """
 
 from __future__ import annotations
@@ -477,17 +483,11 @@ class Subspace:
         return Matrix.from_rows(self.field, self.basis, cols=self.ambient_dim)
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatch("vector length %d != ambient %d"
-                                  % (len(vec), self.ambient_dim))
-        reduced, _ = rref(self.field, list(self.basis) + [tuple(vec)],
-                          self.ambient_dim)
-        return len(reduced) == self.dim
+        return coordinates(self, [vec]) is not None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         _require_same_ambient(self, other)
-        reduced, _ = rref(self.field, other.basis + self.basis, self.ambient_dim)
-        return len(reduced) == other.dim
+        return coordinates(other, self.basis) is not None
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -547,9 +547,35 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     return Matrix.from_rows(m.field, [row[n:] for row in reduced], cols=n)
 
 
-def coordinates_in(sub: Subspace, vec: Sequence[Scalar]) -> Optional[tuple]:
-    """Coefficients of ``vec`` on the canonical basis, or None if outside."""
-    return solve(sub.matrix().transpose(), vec)
+def coordinates(sub: Subspace, vectors: Sequence[Sequence[Scalar]]) -> Optional[Matrix]:
+    """The coordinates of ``vectors`` on the canonical basis of ``sub``, one
+    column per vector, or None when a vector lies outside ``sub``.  They are
+    a vector's entries at the basis' pivot columns, and it lies in ``sub``
+    when subtracting their combination, on ints, leaves zero.
+    """
+    field, n = sub.field, sub.ambient_dim
+    p = field.p if isinstance(field, PrimeField) else 0
+    pivots = [_pivot(row) for row in sub.basis]
+    basis = [_ints(field, row) for row in sub.basis]
+    den = math.lcm(*[d for _, d in basis])
+    cols = []
+    for v in vectors:
+        if len(v) != n:
+            raise AmbientMismatch("vector length %d != ambient %d" % (len(v), n))
+        ints, dv = _ints(field, v)
+        rest = [den * a for a in ints]
+        for j, (row, d) in zip(pivots, basis):
+            c = ints[j] * (den // d)
+            if c:
+                rest = [a - c * b for a, b in zip(rest, row)]
+        if any(a % p for a in rest) if p else any(rest):
+            return None
+        cols.append(_scalars(field, [ints[j] for j in pivots], dv))
+    return Matrix.from_rows(field, cols, cols=sub.dim).transpose()
+
+
+def _pivot(row: Sequence[Scalar]) -> int:
+    return next(j for j, a in enumerate(row) if a)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -559,18 +585,18 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Largest common subspace, via the kernel of stacked constraints.
-
-    Membership in a row span is one linear condition per vector of the
-    span's kernel, so the intersection is the kernel of both constraint
-    blocks stacked.
+    """Largest common subspace, by Zassenhaus' algorithm: in the reduced
+    echelon form of the rows ``(u | u)``, u in ``a``, and ``(v | 0)``, v in
+    ``b``, the rows ``(0 | w)`` have w in both, and their right halves are
+    already reduced, so they are the canonical basis of the intersection.
     """
     _require_same_ambient(a, b)
-    constraints_a = kernel_basis(a.matrix())
-    constraints_b = kernel_basis(b.matrix())
-    stacked = Matrix.from_rows(a.field, constraints_a.basis + constraints_b.basis,
-                               cols=a.ambient_dim)
-    return kernel_basis(stacked)
+    n = a.ambient_dim
+    zeros = (a.field.zero,) * n
+    reduced, pivots = rref(a.field, [u + u for u in a.basis] +
+                           [v + zeros for v in b.basis], 2 * n)
+    return Subspace(a.field, n, tuple(row[n:] for row, c in zip(reduced, pivots)
+                                      if c >= n))
 
 
 def orthogonal_complement(s: Subspace, gram: Matrix) -> Subspace:
@@ -583,23 +609,17 @@ def orthogonal_complement(s: Subspace, gram: Matrix) -> Subspace:
 
 
 def echelon_complement(sub: Subspace, within: Optional[Subspace] = None) -> Subspace:
-    """Deterministic complement of ``sub`` inside ``within`` (default: all).
-
-    In coordinates on ``within``'s canonical basis, the complement is spanned
-    by the basis vectors sitting at the non-pivot columns of ``sub``.
+    """Deterministic complement of ``sub`` inside ``within`` (default: all):
+    the canonical basis vectors of ``within`` off the pivots of ``sub``,
+    which are the non-pivot columns of sub's (reduced) coordinates.
     """
     if within is None:
         within = Subspace.full(sub.field, sub.ambient_dim)
-    _require_same_ambient(sub, within)
-    coord_rows = []
-    for v in sub.basis:
-        coords = coordinates_in(within, v)
-        if coords is None:
-            raise AmbientMismatch("subspace is not inside the enclosing space")
-        coord_rows.append(coords)
-    _, pivots = rref(sub.field, coord_rows, within.dim)
-    chosen = [within.basis[j] for j in range(within.dim) if j not in pivots]
-    return Subspace(sub.field, sub.ambient_dim, tuple(chosen))
+    if not sub.is_subspace_of(within):
+        raise AmbientMismatch("subspace is not inside the enclosing space")
+    taken = {_pivot(v) for v in sub.basis}
+    return Subspace(sub.field, sub.ambient_dim,
+                    tuple(w for w in within.basis if _pivot(w) not in taken))
 
 
 # ---------------------------------------------------------------------------

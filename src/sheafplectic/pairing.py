@@ -19,7 +19,7 @@ from ._records import record
 from .exactalg import (
     Matrix,
     Subspace,
-    coordinates_in,
+    coordinates,
     inverse,
     kernel_basis,
     orthogonal_complement,
@@ -124,15 +124,11 @@ def transpose_morphism(m: MorphismSheaf) -> MorphismSheaf:
 
 def transpose_endomorphism(p: PairingSheaf, s: MorphismSheaf) -> MorphismSheaf:
     """The unique partner T with gram T = S^T gram at every point."""
-    check = is_nondegenerate(p)
-    if not check:
-        raise Degenerate("pairing is degenerate at %r" % (check.point,))
     mats = {}
-    for x in p.space.points:
-        g = p.gram[x]
+    for x, g in p.gram.items():
         ginv = inverse(g)
         if ginv is None:
-            raise Degenerate("gram not invertible at %r" % x)
+            raise Degenerate("pairing is degenerate at %r" % (x,))
         mats[x] = ginv @ s.mats[x].transpose() @ g
     return MorphismSheaf(p.right, p.right, mats)
 
@@ -185,30 +181,24 @@ def induced_endomorphism(p: PairingSheaf, s: MorphismSheaf,
     """Restrict an endomorphism to an invariant sub-sheaf and push its
     transpose to the quotient; the two stay transposes for the induced
     pairing.  Raises ``NotInvariant`` with a witness vector otherwise."""
+    restricted_mats = {}
     for x in p.space.points:
-        for v in g.stalks[x].basis:
-            if not g.stalks[x].contains(s.mats[x].mat_vec(v)):
-                raise NotInvariant(x, v)
+        stalk, sx = g.stalks[x], s.mats[x]
+        restricted_mats[x] = coordinates(stalk, [sx.mat_vec(v) for v in stalk.basis])
+        if restricted_mats[x] is None:
+            raise NotInvariant(x, next(v for v in stalk.basis
+                                       if not stalk.contains(sx.mat_vec(v))))
     t = transpose_endomorphism(p, s)
     ip = induced_pairing(p, g)
-    for x in p.space.points:
-        for w in ip.perp.stalks[x].basis:
-            if not ip.perp.stalks[x].contains(t.mats[x].mat_vec(w)):
-                raise RuntimeError("annihilator failed to be invariant at %r" % x)
-    restricted_mats = {}
     induced_mats = {}
     for x in p.space.points:
-        cols = []
-        for v in g.stalks[x].basis:
-            coords = coordinates_in(g.stalks[x], s.mats[x].mat_vec(v))
-            cols.append(coords)
-        k = g.stalks[x].dim
-        restricted_mats[x] = Matrix.from_rows(
-            p.field, [tuple(col[i] for col in cols) for i in range(k)], cols=k)
+        perp, tx = ip.perp.stalks[x], t.mats[x]
+        if coordinates(perp, [tx.mat_vec(w) for w in perp.basis]) is None:
+            raise RuntimeError("annihilator failed to be invariant at %r" % x)
         q = ip.quotient.proj[x]
         c = ip.quotient.complements[x].matrix()
-        induced_mats[x] = q @ t.mats[x] @ c.transpose()
-        if (induced_mats[x] @ q).entries != (q @ t.mats[x]).entries:
+        induced_mats[x] = q @ tx @ c.transpose()
+        if (induced_mats[x] @ q).entries != (q @ tx).entries:
             raise RuntimeError("induced map does not commute with projection at %r" % x)
         lhs = ip.pairing.gram[x] @ induced_mats[x]
         rhs = restricted_mats[x].transpose() @ ip.pairing.gram[x]
@@ -237,7 +227,7 @@ def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
         image = Subspace.span(e.field, e.rank, q.entries)
         if image != perp.stalks[x]:
             raise RuntimeError("dual of the quotient missed the annihilator at %r" % x)
-        if rank_of(q) != quot.stalk_dim(x):
+        if image.dim != quot.stalk_dim(x):
             raise RuntimeError("quotient dual map is not injective at %r" % x)
         mats[x] = q.transpose()
     return MorphismSheaf(quot, e, mats)
@@ -295,7 +285,7 @@ def _exactness(first: Matrix, second: Matrix) -> Tuple[Tuple[int, int, int],
     for ``0 -> A -first-> B -second-> C``."""
     image = Subspace.span(first.field, first.rows, first.transpose().entries)
     return ((first.cols, first.rows, second.rows),
-            kernel_basis(first).dim == 0, image == kernel_basis(second))
+            image.dim == first.cols, image == kernel_basis(second))
 
 
 def _direct_sum(checks) -> Tuple[Tuple[int, int, int], bool, bool]:

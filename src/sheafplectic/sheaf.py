@@ -32,7 +32,7 @@ from .exactalg import (
     Field,
     Matrix,
     Subspace,
-    coordinates_in,
+    coordinates,
     dot,
     echelon_complement,
     inverse,
@@ -480,11 +480,11 @@ def _pieces(p: ExplicitPresheaf, cover: Cover, vec: Sequence) -> Dict[int, tuple
 
 def _on_basis(families: Subspace, vectors, what: str) -> Matrix:
     """The coordinates of ``vectors`` on the families' basis, as columns."""
-    cols = [coordinates_in(families, tuple(v)) for v in vectors]
-    if None in cols:
+    m = coordinates(families, vectors)
+    if m is None:
         raise ValueError("%s are not compatible families; presheaf is not "
                          "functorial" % what)
-    return Matrix.from_rows(families.field, cols, cols=families.dim).transpose()
+    return m
 
 
 def _germs(p: ExplicitPresheaf, u: int) -> Tuple[Cover, Matrix, Subspace]:
@@ -521,29 +521,27 @@ def _germs(p: ExplicitPresheaf, u: int) -> Tuple[Cover, Matrix, Subspace]:
 def check_completeness(p: ExplicitPresheaf) -> CompletenessReport:
     """Check both sheaf axioms on every open against its minimal cover.
 
-    Over U, S1 needs the joint restriction to the largest minimal opens to
-    be injective (witness: a kernel vector), and S2 needs every compatible
-    germ family to be the germs of a section (witness: a family outside
-    the image).  That cover refines every cover of U, so on a functorial
-    presheaf ``ok`` and ``s1`` (with its open) are those of a check over
-    all covers, and so is ``s2`` while S1 holds on every open.  Where S1
-    fails, ``s2`` means a compatible germ family with no section.
+    Over U, the columns of the joint restriction to the largest minimal
+    opens span the image of the sections among the germ families.  S1
+    needs full rank (witness: a kernel vector), S2 needs every compatible
+    family inside (witness: the first one outside); witnesses are built
+    only on failure.  As that cover refines every cover of U, ``ok`` and
+    ``s1`` (with its open) on a functorial presheaf are those of a check
+    over all covers, and so is ``s2`` while S1 holds everywhere; where S1
+    fails, ``s2`` is a compatible germ family with no section.
     """
     s1: Optional[Counterexample] = None
     s2: Optional[Counterexample] = None
     for u in range(len(p.space.opens)):
         cover, joint, families = _germs(p, u)
-        if s1 is None:
-            ker = kernel_basis(joint)
-            if ker.dim:
-                s1 = Counterexample(u, cover, section=ker.basis[0])
-        if s2 is None:
-            image = Subspace.span(p.field, families.ambient_dim,
-                                  joint.transpose().entries)
-            if not families.is_subspace_of(image):
-                fam = next(f for f in families.basis if not image.contains(f))
-                s2 = Counterexample(u, cover,
-                                    family=tuple(_pieces(p, cover, fam).values()))
+        image = Subspace.span(p.field, families.ambient_dim,
+                              joint.transpose().entries)
+        if s1 is None and image.dim < joint.cols:
+            s1 = Counterexample(u, cover, section=kernel_basis(joint).basis[0])
+        if s2 is None and not families.is_subspace_of(image):
+            fam = next(f for f in families.basis if not image.contains(f))
+            s2 = Counterexample(u, cover,
+                                family=tuple(_pieces(p, cover, fam).values()))
         if s1 is not None and s2 is not None:
             break
     return CompletenessReport(s1, s2)
@@ -645,7 +643,7 @@ def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
     for x in e.space.points:
         by_stalk = f.stalks[x]
         within_stalk = within.stalks[x] if within is not None else Subspace.full(field, n)
-        if not by_stalk.is_subspace_of(within_stalk):
+        if within is not None and not by_stalk.is_subspace_of(within_stalk):
             raise ParentMismatch("stalk at %r is not inside the enclosing stalk" % x)
         cplt = echelon_complement(by_stalk, within_stalk)
         pad = echelon_complement(within_stalk)

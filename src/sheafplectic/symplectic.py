@@ -25,13 +25,13 @@ from .exactalg import (
     Field,
     Matrix,
     Subspace,
-    coordinates_in,
+    coordinates,
     kernel_basis,
     orthogonal_complement,
     rank_of,
+    rref,
     solve,
     subspace_intersection,
-    subspace_sum,
 )
 from .sheaf import (
     FreeModuleSheaf,
@@ -125,17 +125,11 @@ def flat(w: TwoFormSheaf) -> FlatResult:
     quot, proj = quotient(e, kernel)
     iso = {}
     for x in e.space.points:
-        cols = []
-        for rep in quot.complements[x].basis:
-            lowered = w.coeff[x].mat_vec(rep)
-            coords = coordinates_in(image.stalks[x], lowered)
-            if coords is None:
-                raise RuntimeError("lowered representative escaped the image at %r" % x)
-            cols.append(coords)
+        iso[x] = coordinates(image.stalks[x], [w.coeff[x].mat_vec(rep)
+                                               for rep in quot.complements[x].basis])
+        if iso[x] is None:
+            raise RuntimeError("lowered representative escaped the image at %r" % x)
         d = quot.stalk_dim(x)
-        iso[x] = Matrix.from_rows(field,
-                                  [tuple(col[i] for col in cols) for i in range(d)],
-                                  cols=d)
         if d and rank_of(iso[x]) != d:
             raise RuntimeError("quotient-image comparison is singular at %r" % x)
     return FlatResult(MorphismSheaf(e, e, w.coeff), image, kernel, quot, proj, iso)
@@ -412,16 +406,15 @@ def _isotropic_complement(sm: SymplecticModule,
         running = f.stalks[x]
         while running.dim < n:
             candidates = orthogonal_complement(Subspace.span(field, n, chosen),
-                                               sm.form.coeff[x])
-            pick = None
-            for row in candidates.basis:
-                if not running.contains(row):
-                    pick = row
-                    break
-            if pick is None:
+                                               sm.form.coeff[x]).basis
+            # among the columns [running | candidates], the first pivot past
+            # running's basis is the first candidate outside the running sum
+            columns = running.basis + candidates
+            _, pivots = rref(field, list(zip(*columns)), len(columns))
+            if len(pivots) == running.dim:
                 raise RuntimeError("complement construction got stuck at %r" % x)
-            chosen.append(pick)
-            running = subspace_sum(running, Subspace.span(field, n, [pick]))
+            chosen.append(candidates[pivots[running.dim] - running.dim])
+            running = Subspace.span(field, n, running.basis + (chosen[-1],))
         g = Subspace.span(field, n, chosen)
         bg = g.matrix()
         if not (bg @ sm.form.coeff[x] @ bg.transpose()).is_zero():

@@ -15,7 +15,7 @@ from sheafplectic.exactalg import (
     Matrix,
     PrimeField,
     Subspace,
-    coordinates_in,
+    coordinates,
     echelon_complement,
     inverse,
     solve,
@@ -75,7 +75,7 @@ def _presheaf(p, dims, basis, coords):
 def sub_presheaf(p, s):
     return _presheaf(p, [s[u].dim for u in sorted(s)],
                      {u: s[u].basis for u in s},
-                     lambda v, vec: coordinates_in(s[v], vec))
+                     lambda v, vec: coordinates(s[v], [vec]).column(0))
 
 
 def quotient_presheaf(p, k):

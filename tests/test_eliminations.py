@@ -1,0 +1,60 @@
+"""Ceilings on the eliminations that the subspace-heavy suites take.
+
+Every subspace question (coordinates, membership, intersection,
+injectivity) is asked in at most one elimination, never once per vector.
+These tests count the calls to ``exactalg.rref``, in process, made by
+``check --suite SUITE --seed-rng 7`` on each shipped manifest, and hold
+each count at or below the count reached when that became true.  A loop of
+one elimination per vector coming back breaks a ceiling.  A change that
+lowers a count should lower its ceiling too.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from sheafplectic import cli, exactalg, pairing, sheaf, suites, symplectic  # noqa: F401
+
+REPO = Path(__file__).resolve().parents[1]
+
+CEILINGS = {
+    ("point_rank2", "annihilator-theorem"): 562,
+    ("point_rank2", "completeness"): 137,
+    ("point_rank2", "hom-exactness"): 56,
+    ("discrete_f3", "annihilator-theorem"): 773,
+    ("discrete_f3", "completeness"): 258,
+    ("discrete_f3", "hom-exactness"): 96,
+    ("sierpinski_rank4", "annihilator-theorem"): 748,
+    ("sierpinski_rank4", "completeness"): 218,
+    ("sierpinski_rank4", "hom-exactness"): 112,
+}
+
+
+def count_eliminations(monkeypatch, manifest, suite):
+    """Exit code and number of ``rref`` calls of one in-process check."""
+    real = exactalg.rref
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    # every module that imported ``rref`` holds its own binding
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sheafplectic") and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["-m", str(REPO / "manifests" / (manifest + ".json")),
+                         "check", "--suite", suite, "--seed-rng", "7"])
+    return code, len(calls)
+
+
+@pytest.mark.parametrize("manifest,suite", sorted(CEILINGS),
+                         ids=["%s %s" % key for key in sorted(CEILINGS)])
+def test_suite_stays_within_its_elimination_ceiling(monkeypatch, manifest, suite):
+    code, calls = count_eliminations(monkeypatch, manifest, suite)
+    assert code == 0
+    assert 0 < calls <= CEILINGS[(manifest, suite)]

@@ -9,7 +9,7 @@ from sheafplectic.exactalg import (
     PrimeField,
     QQ,
     Subspace,
-    coordinates_in,
+    coordinates,
     echelon_complement,
     inverse,
     kernel_basis,
@@ -178,8 +178,8 @@ class TestSubspaces:
 
     def test_coordinates_in(self):
         s = qspan(3, [[1, 0, 1], [0, 1, 0]])
-        assert coordinates_in(s, (F(2), F(3), F(2))) == (F(2), F(3))
-        assert coordinates_in(s, (F(0), F(0), F(1))) is None
+        assert coordinates(s, [(F(2), F(3), F(2))]).column(0) == (F(2), F(3))
+        assert coordinates(s, [(F(0), F(0), F(1))]) is None
 
 
 class TestOrthogonalComplement:

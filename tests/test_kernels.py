@@ -17,7 +17,13 @@ from sheafplectic.exactalg import (
     PrimeField,
     QQ,
     Subspace,
+    coordinates,
+    echelon_complement,
+    kernel_basis,
     rref,
+    solve,
+    subspace_intersection,
+    subspace_sum,
 )
 from sheafplectic.symplectic import _replay
 
@@ -314,3 +320,106 @@ def test_prime_field_kernels_reject_other_scalars(bad):
 def test_mixed_field_arithmetic_still_raises():
     with pytest.raises(TypeError):
         PrimeField(3).one + PrimeField(5).one
+
+
+# ---------------------------------------------------------------------------
+# subspace questions: references are the one-solve-per-vector coordinates
+# and the kernel-of-kernels intersection they replaced
+
+def ref_coordinates(sub, vectors):
+    cols = [solve(sub.matrix().transpose(), tuple(v)) for v in vectors]
+    if None in cols:
+        return None
+    return Matrix.from_rows(sub.field, cols, cols=sub.dim).transpose()
+
+
+def ref_intersection(a, b):
+    stacked = kernel_basis(a.matrix()).basis + kernel_basis(b.matrix()).basis
+    return kernel_basis(Matrix.from_rows(a.field, stacked, cols=a.ambient_dim))
+
+
+def ref_echelon_complement(sub, within):
+    coord_rows = [solve(within.matrix().transpose(), v) for v in sub.basis]
+    _, pivots = ref_rref(coord_rows, within.dim)
+    return Subspace(sub.field, sub.ambient_dim,
+                    tuple(w for j, w in enumerate(within.basis) if j not in pivots))
+
+
+@st.composite
+def subspace_pairs(draw, field):
+    """Two subspaces of one ambient space (of dimension 0 to 6): random and
+    overlapping, or one of them zero, full, equal to or inside the other."""
+    rows, n = draw(row_lists(field))
+    a = Subspace.span(field, n, rows)
+    kind = draw(st.sampled_from(["random", "zero", "full", "equal", "inside"]))
+    if kind == "random":
+        more = draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n),
+                             max_size=4))
+        b = Subspace.span(field, n, more + rows[:draw(st.integers(0, len(rows)))])
+    elif kind == "inside":
+        b = Subspace.span(field, n, rows[:draw(st.integers(0, len(rows)))])
+    else:
+        b = {"zero": Subspace.zero(field, n), "full": Subspace.full(field, n),
+             "equal": a}[kind]
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_coordinates_match_solving_per_vector(field, data):
+    a, b = data.draw(subspace_pairs(field))
+    n = a.ambient_dim
+    # the other operand's basis, the zero vector and arbitrary vectors, then
+    # vectors of ``a``: its basis and sums of neighbouring basis vectors
+    vectors = list(b.basis) + [(field.zero,) * n] + data.draw(st.lists(
+        st.tuples(*[scalars(field)] * n), max_size=2))
+    inside = list(a.basis) + [tuple(x + y for x, y in zip(u, v))
+                              for u, v in zip(a.basis, a.basis[1:])]
+    for vs in (vectors, inside, []):
+        got = coordinates(a, vs)
+        assert got == ref_coordinates(a, vs)
+        if got is not None:
+            assert (got.rows, got.cols) == (a.dim, len(vs))
+            assert_field_scalars(field, got.entries)
+    for v in vectors:
+        assert a.contains(v) == (ref_coordinates(a, [v]) is not None)
+    assert b.is_subspace_of(a) == (ref_coordinates(a, b.basis) is not None)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_intersection_matches_kernel_of_kernels(field, data):
+    a, b = data.draw(subspace_pairs(field))
+    got = subspace_intersection(a, b)
+    assert got == ref_intersection(a, b)
+    assert_field_scalars(field, got.basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_echelon_complement_matches_solving_per_vector(field, data):
+    a, b = data.draw(subspace_pairs(field))
+    within = subspace_sum(a, b)
+    got = echelon_complement(a, within)
+    assert got == ref_echelon_complement(a, within)
+    assert echelon_complement(a) == \
+        ref_echelon_complement(a, Subspace.full(field, a.ambient_dim))
+    assert subspace_sum(a, got) == within
+    assert subspace_intersection(a, got).dim == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("n", [0, 3])
+def test_subspace_questions_on_zero_and_full(field, n):
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    for a in (zero, full):
+        for b in (zero, full):
+            assert subspace_intersection(a, b) == ref_intersection(a, b)
+            assert echelon_complement(a, subspace_sum(a, b)) == \
+                ref_echelon_complement(a, subspace_sum(a, b))
+            assert coordinates(a, b.basis) == ref_coordinates(a, b.basis)
+    assert coordinates(full, []) == Matrix(field, n, 0, ((),) * n)
+    assert coordinates(zero, [(field.zero,) * n]) == Matrix(field, 0, 1, ())

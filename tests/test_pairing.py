@@ -42,10 +42,11 @@ from sheafplectic.sheaf import (
     sections_basis,
     zero_submodule,
 )
-from sheafplectic.space import FiniteSpace, sierpinski
+from sheafplectic.space import FiniteSpace, discrete, sierpinski
 from sheafplectic.suites import rand_space, rand_stalks
 
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])
+THREE_POINTS = discrete(("a", "b", "c"))
 
 
 def qmat(rows):
@@ -295,6 +296,18 @@ class TestTransposeEndomorphism:
         with pytest.raises(Degenerate):
             transpose_endomorphism(p, MorphismSheaf.identity_on(p.left))
 
+    def test_degenerate_names_the_first_degenerate_point(self):
+        e = FreeModuleSheaf(THREE_POINTS, QQ, 3)
+        p = PairingSheaf(e, e, {"a": Matrix.identity(QQ, 3),
+                                "b": qmat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+                                "c": Matrix.zeros(QQ, 3, 3)})
+        for call in (lambda: transpose_endomorphism(p, MorphismSheaf.identity_on(e)),
+                     lambda: induced_endomorphism(p, MorphismSheaf.identity_on(e),
+                                                  full_submodule(e))):
+            with pytest.raises(Degenerate) as exc:
+                call()
+            assert str(exc.value) == "pairing is degenerate at 'b'"
+
 
 class TestInducedPairing:
     def test_full_recovers_original(self):
@@ -346,6 +359,20 @@ class TestInducedEndomorphism:
         with pytest.raises(NotInvariant) as exc:
             induced_endomorphism(p, rot, g)
         assert exc.value.point == "p"
+
+    def test_not_invariant_names_the_first_point_and_vector(self):
+        # "a" is invariant; at "b" the first basis vector is kept and the
+        # second is not, and "c" fails too but comes later
+        e = FreeModuleSheaf(THREE_POINTS, QQ, 3)
+        g = SubmoduleSheaf(e, {"a": qspan(3, [[1, 0, 0]]),
+                               "b": qspan(3, [[1, 1, 0], [0, 0, 1]]),
+                               "c": qspan(3, [[0, 1, 0]])})
+        s = MorphismSheaf(e, e, {"a": qmat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+                                 "b": qmat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+                                 "c": qmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])})
+        with pytest.raises(NotInvariant) as exc:
+            induced_endomorphism(canonical_pairing(e), s, g)
+        assert (exc.value.point, exc.value.vector) == ("b", (F(0), F(0), F(1)))
 
     def test_block_upper_triangular_example(self):
         p = one_point_pairing(J4)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from sheafplectic.sheaf import (
     ParentMismatch,
     Section,
     SubmoduleSheaf,
+    Counterexample,
     check_completeness,
     constant_presheaf,
     full_submodule,
@@ -25,6 +27,7 @@ from sheafplectic.sheaf import (
     zero_submodule,
 )
 from sheafplectic.space import Cover, FiniteSpace, chain, discrete, sierpinski
+from sheafplectic.suites import rand_space, rand_stalks
 
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])
 
@@ -36,6 +39,25 @@ def qspan(n, rows):
 def submodule(e, per_point):
     return SubmoduleSheaf(e, {x: qspan(e.rank, rows)
                               for x, rows in per_point.items()})
+
+
+def presheaf_over(sp, dims, maps):
+    """The presheaf on a discrete space with ``dims[name]`` over each
+    nonempty open (named by its points) and ``maps[x]`` restricting the
+    whole space to the point x; every other restriction is zero or the
+    identity."""
+    name = ["".join(sorted(o)) for o in sp.opens]
+    d = [dims.get(k, 0) for k in name]
+    restrictions = {}
+    for u, big in enumerate(sp.opens):
+        for v, small in enumerate(sp.opens):
+            if small <= big:
+                rows = (Matrix.identity(QQ, d[u]).entries if u == v else
+                        [[F(a) for a in r] for r in maps[name[v]]]
+                        if len(small) == 1 and len(big) == len(sp.points)
+                        else [(F(0),) * d[u]] * d[v])
+                restrictions[(u, v)] = Matrix.from_rows(QQ, rows, cols=d[u])
+    return ExplicitPresheaf(sp, QQ, d, restrictions)
 
 
 class TestSectionsBasis:
@@ -63,6 +85,25 @@ class TestSectionsBasis:
         # enumeration oracle: a dim-3 F_2 space has exactly 8 sections
         from sheafplectic.oracle import enum_submodule_sections
         assert len(enum_submodule_sections(f, u)) == 2 ** 3
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_basis_of_the_sections_over_every_open(self, seed):
+        # one section per stalk basis vector: zero away from its point, in
+        # the sub-sheaf, and independent as vectors of (+)_x F_x
+        rng = random.Random(seed)
+        field = (QQ, PrimeField(2), PrimeField(3))[seed % 3]
+        e = FreeModuleSheaf(rand_space(rng), field, rng.randint(1, 3))
+        f = rand_stalks(e, rng)
+        for u in range(len(e.space.opens)):
+            pts = e.space.member_points(u)
+            basis = sections_basis(f, u)
+            assert len(basis) == sum(f.stalks[x].dim for x in pts)
+            for s in basis:
+                assert s.over == u and f.contains_section(s)
+                assert sum(1 for x in pts if any(s.values[x])) == 1
+            flat = [sum((s.values[x] for x in pts), ()) for s in basis]
+            assert Subspace.span(field, e.rank * len(pts), flat).dim == len(basis)
 
 
 class TestGlue:
@@ -124,6 +165,30 @@ class TestCompleteness:
         assert members == {frozenset("a"), frozenset("b")}
         assert rep.s2.family in (((F(1),), (F(0),)), ((F(0),), (F(1),)),
                                  ((F(1),), (F(-1),)))
+
+    def test_failing_s1_and_s2_names_the_first_witnesses(self):
+        # over {a, b} the joint restriction [[1, 2, 0], [2, 4, 0]] has a
+        # kernel and its image misses the compatible family (1, 0)
+        sp = discrete(("a", "b"))
+        rep = check_completeness(presheaf_over(sp, {"a": 1, "b": 1, "ab": 3}, {
+            "a": [[1, 2, 0]], "b": [[2, 4, 0]]}))
+        ab = sp.index_of(("a", "b"))
+        cover = Cover(ab, (sp.index_of(("a",)), sp.index_of(("b",))))
+        assert rep.s1 == Counterexample(ab, cover,
+                                        section=(F(1), F(-1, 2), F(0)))
+        assert rep.s2 == Counterexample(ab, cover, family=((F(1),), (F(0),)))
+
+    def test_failing_only_s2_names_the_first_family_outside(self):
+        # the sections over {a, b} hit the families (1 | 0, 0) and
+        # (0 | 1, 0); the third family (0 | 0, 1) is the first one outside
+        sp = discrete(("a", "b"))
+        rep = check_completeness(presheaf_over(sp, {"a": 1, "b": 2, "ab": 2}, {
+            "a": [[1, 0]], "b": [[0, 1], [0, 0]]}))
+        ab = sp.index_of(("a", "b"))
+        cover = Cover(ab, (sp.index_of(("a",)), sp.index_of(("b",))))
+        assert rep.s1 is None
+        assert rep.s2 == Counterexample(ab, cover,
+                                        family=((F(0),), (F(0), F(1))))
 
     def test_nonzero_at_empty_open_fails_s1(self):
         sp = discrete(("a", "b"))
