@@ -36,6 +36,8 @@ from .sheaf import (
 MANIFEST_FORMAT = "sheafplectic-manifest/1"
 DEFAULT_MAX_POINTS = 12
 MAX_OPENS = 64
+# primality is tested by trial division, in time growing with sqrt(modulus)
+MAX_MODULUS = 2 ** 31 - 1
 # the keys of ``suites.SUITES``, kept here so that parsing the command line
 # does not load the suites
 SUITE_NAMES = ("annihilator-theorem", "completeness", "darboux",
@@ -170,9 +172,15 @@ def parse_manifest(text: str) -> Manifest:
     if fld == "Q":
         field = QQ
     elif isinstance(fld, dict) and set(fld) == {"Fp"}:
+        p = fld["Fp"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValidationError("field.Fp", "modulus must be an integer")
+        if p > MAX_MODULUS:
+            raise ValidationError("field.Fp", "modulus %d exceeds the cap of %d"
+                                  % (p, MAX_MODULUS))
         try:
-            field = PrimeField(fld["Fp"])
-        except (TypeError, ValueError) as exc:
+            field = PrimeField(p)
+        except ValueError as exc:
             raise ValidationError("field.Fp", str(exc))
     else:
         raise ValidationError("field", "must be \"Q\" or {\"Fp\": prime}")

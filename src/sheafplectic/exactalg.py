@@ -33,7 +33,8 @@ Each subspace question takes at most one elimination, never one per
 vector: ``coordinates`` (and with it ``contains``, ``is_subspace_of`` and
 ``echelon_complement``) reads coordinates off the pivot columns of a
 canonical basis and checks them on ints, an intersection is one Zassenhaus
-elimination, and a yes/no question is read off a rank already at hand.
+elimination, a kernel is one elimination, and a yes/no question is read
+off a rank already at hand.
 """
 
 from __future__ import annotations
@@ -503,18 +504,26 @@ def rank_of(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of ``{v : m v = 0}``; dim = cols - rank."""
-    reduced, pivots = rref(m.field, m.entries, m.cols)
-    field = m.field
-    free = [j for j in range(m.cols) if j not in pivots]
+    """Canonical basis of ``{v : m v = 0}``; dim = cols - rank.
+
+    One elimination, on the columns in reverse order: each free column then
+    depends only on pivot columns to its right, so ``e_f`` minus that
+    combination leads at ``f`` and is zero at every other free column, and
+    these vectors are already the canonical reduced basis.
+    """
+    field, n = m.field, m.cols
+    reduced, pivots = rref(field, [r[::-1] for r in m.entries], n)
+    pivots = [n - 1 - c for c in pivots]
     vectors = []
-    for f in free:
-        v = [field.zero] * m.cols
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [field.zero] * n
         v[f] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][f]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[n - 1 - f]
         vectors.append(tuple(v))
-    return Subspace.span(field, m.cols, vectors)
+    return Subspace(field, n, tuple(vectors))
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[tuple]:

@@ -261,24 +261,6 @@ class HomExactnessReport:
         return all(r.ok for r in self.opens)
 
 
-def _kron_eye(a: Matrix, n: int) -> Matrix:
-    """``a (x) I_n``: X -> a X on n-column matrices flattened row by row."""
-    rows = []
-    for r in a.entries:
-        for k in range(n):
-            row = [a.field.zero] * (a.cols * n)
-            row[k::n] = r
-            rows.append(tuple(row))
-    return Matrix(a.field, a.rows * n, a.cols * n, tuple(rows))
-
-
-def _eye_kron(n: int, b: Matrix) -> Matrix:
-    """``I_n (x) b``: X -> X b^T on n-row matrices flattened row by row."""
-    pad = (b.field.zero,) * b.cols
-    return Matrix(b.field, n * b.rows, n * b.cols, tuple(
-        pad * i + r + pad * (n - 1 - i) for i in range(n) for r in b.entries))
-
-
 def _exactness(first: Matrix, second: Matrix) -> Tuple[Tuple[int, int, int],
                                                         bool, bool]:
     """Chain dimensions, injectivity of ``first`` and image-equals-kernel
@@ -300,12 +282,13 @@ def check_hom_exactness(f: SubmoduleSheaf,
     """Apply both hom functors to 0 -> F -> E -> E/F -> 0 over every open.
 
     Morphism families over an open split point by point, so each hom
-    module over U is the direct sum of its points' matrix spaces.  Each
-    point is checked once, by injectivity plus image-equals-kernel of
-    canonical subspaces, on the Kronecker matrices of X -> B^T X, X -> P X
-    (maps from the probe) and X -> X P, X -> X B^T (maps to it), with B
-    the stalk basis and P the projection.  An open sums its points'
-    dimensions and holds when all of its points do.
+    module over U is the direct sum of its points' matrix spaces, and with
+    a free probe of rank pr each of those is pr copies of the chain for a
+    rank-one probe: B^T, P (maps from the probe) and P^T, B (maps to it),
+    with B the stalk basis and P the projection.  Each point's two chains
+    are checked once, by injectivity plus image-equals-kernel of canonical
+    subspaces.  An open sums pr copies of its points' dimensions (none when
+    pr is zero) and holds when all of its points do.
     """
     e = f.parent
     if probe.space != e.space or probe.field != e.field:
@@ -315,13 +298,12 @@ def check_hom_exactness(f: SubmoduleSheaf,
     at = {}
     for x in e.space.points:
         b, q = f.stalks[x].matrix(), proj.mats[x]
-        at[x] = (_exactness(_kron_eye(b.transpose(), pr), _kron_eye(q, pr)),
-                 _exactness(_eye_kron(pr, q.transpose()), _eye_kron(pr, b)))
+        at[x] = (_exactness(b.transpose(), q), _exactness(q.transpose(), b))
     reports = []
     for u in range(len(e.space.opens)):
         pts = e.space.member_points(u)
-        d_into, into_inj, into_exact = _direct_sum([at[x][0] for x in pts])
-        d_from, from_inj, from_exact = _direct_sum([at[x][1] for x in pts])
+        d_into, into_inj, into_exact = _direct_sum([at[x][0] for x in pts] * pr)
+        d_from, from_inj, from_exact = _direct_sum([at[x][1] for x in pts] * pr)
         reports.append(OpenHomReport(u, d_into, d_from,
                                      into_inj, into_exact, from_inj, from_exact))
     return HomExactnessReport(reports)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from sheafplectic import suites
+from sheafplectic import pairing, suites
 from sheafplectic.cli import (
+    MAX_MODULUS,
     Manifest,
     ParseError,
     SUITE_NAMES,
@@ -120,6 +121,25 @@ class TestParseManifest:
         with pytest.raises(ValidationError):
             parse_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize("modulus,message", [
+        (3.0, "modulus must be an integer"),
+        ("3", "modulus must be an integer"),
+        (True, "modulus must be an integer"),
+        (2 ** 31 + 11, "modulus 2147483659 exceeds the cap of 2147483647")])
+    def test_bad_modulus_is_a_validation_error(self, modulus, message):
+        doc = json.loads(MINIMAL)
+        doc["field"] = {"Fp": modulus}
+        del doc["form"]
+        with pytest.raises(ValidationError) as exc:
+            parse_manifest(json.dumps(doc))
+        assert (exc.value.path, exc.value.message) == ("field.Fp", message)
+
+    def test_modulus_cap_is_accepted(self):
+        doc = json.loads(MINIMAL)
+        doc["field"] = {"Fp": MAX_MODULUS}
+        del doc["form"]
+        assert parse_manifest(json.dumps(doc)).field.p == 2 ** 31 - 1
+
     def test_point_cap(self, monkeypatch):
         monkeypatch.setenv("SHEAFPLECTIC_MAX_POINTS", "1")
         doc = json.loads(MINIMAL)
@@ -208,12 +228,16 @@ class TestSuiteErrors:
     """A suite reports a mathematical failure as a failing record, and lets
     an internal error (a tripped guard, a bug) escape instead."""
 
+    # the suite calls ``induced_endomorphism``, which builds the induced
+    # pairing through ``pairing.induced_pairing``
+    HOME = {"induced_pairing": pairing, "induced_endomorphism": suites}
+
     @pytest.mark.parametrize("name", ["induced_pairing", "induced_endomorphism"])
     def test_internal_error_escapes(self, monkeypatch, name):
         def broken(*args):
             raise RuntimeError("postcondition tripped")
 
-        monkeypatch.setattr(suites, name, broken)
+        monkeypatch.setattr(self.HOME[name], name, broken)
         m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
         with pytest.raises(RuntimeError, match="postcondition tripped"):
             suites.suite_annihilator_theorem(m, random.Random(7))
@@ -226,7 +250,7 @@ class TestSuiteErrors:
         def failing(*args):
             raise error
 
-        monkeypatch.setattr(suites, name, failing)
+        monkeypatch.setattr(self.HOME[name], name, failing)
         m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
         recs = suites.suite_annihilator_theorem(m, random.Random(7))
         failed = [r["check"] for r in recs if not r["ok"]]
@@ -244,7 +268,7 @@ class TestInternalErrors:
         def broken(*args):
             raise RuntimeError("postcondition tripped")
 
-        monkeypatch.setattr(suites, "induced_pairing", broken)
+        monkeypatch.setattr(pairing, "induced_pairing", broken)
         code = main(["-m", str(MANIFESTS / "discrete_f3.json"), "check",
                      "--suite", "annihilator-theorem"])
         assert code == 4
@@ -254,10 +278,10 @@ class TestInternalErrors:
     def test_process_exits_four_without_traceback(self, tmp_path):
         # sitecustomize runs at interpreter start, before the command
         (tmp_path / "sitecustomize.py").write_text(
-            "from sheafplectic import suites\n"
+            "from sheafplectic import pairing\n"
             "def broken(*args):\n"
             "    raise RuntimeError('postcondition tripped')\n"
-            "suites.induced_pairing = broken\n")
+            "pairing.induced_pairing = broken\n")
         env = dict(CLI_ENV, PYTHONPATH=os.pathsep.join(
             [str(tmp_path), CLI_ENV["PYTHONPATH"]]))
         proc = subprocess.run(
@@ -286,6 +310,16 @@ class TestProcessLevel:
         bad.write_text("{}")
         code, out = run_cli("-m", str(bad), "validate")
         assert code == 3
+
+    def test_float_modulus_exit_three(self, tmp_path):
+        doc = json.loads(MINIMAL)
+        doc["field"] = {"Fp": 3.0}
+        del doc["form"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli("-m", str(bad), "validate")
+        assert code == 3
+        assert json.loads(out)["error"] == "ValidationError"
 
     def test_usage_exit_two(self):
         code, _ = run_cli("-m", "manifests/point_rank2.json", "frobnicate")

@@ -1,6 +1,6 @@
 """Ceilings on the eliminations that the subspace-heavy suites take.
 
-Every subspace question (coordinates, membership, intersection,
+Every subspace question (coordinates, membership, intersection, kernel,
 injectivity) is asked in at most one elimination, never once per vector.
 These tests count the calls to ``exactalg.rref``, in process, made by
 ``check --suite SUITE --seed-rng 7`` on each shipped manifest, and hold
@@ -21,15 +21,21 @@ from sheafplectic import cli, exactalg, pairing, sheaf, suites, symplectic  # no
 REPO = Path(__file__).resolve().parents[1]
 
 CEILINGS = {
-    ("point_rank2", "annihilator-theorem"): 562,
-    ("point_rank2", "completeness"): 137,
-    ("point_rank2", "hom-exactness"): 56,
-    ("discrete_f3", "annihilator-theorem"): 773,
-    ("discrete_f3", "completeness"): 258,
-    ("discrete_f3", "hom-exactness"): 96,
-    ("sierpinski_rank4", "annihilator-theorem"): 748,
-    ("sierpinski_rank4", "completeness"): 218,
-    ("sierpinski_rank4", "hom-exactness"): 112,
+    ("point_rank2", "annihilator-theorem"): 367,
+    ("point_rank2", "completeness"): 97,
+    ("point_rank2", "hom-exactness"): 42,
+    ("point_rank2", "reduction"): 62,
+    ("point_rank2", "transpose"): 50,
+    ("discrete_f3", "annihilator-theorem"): 513,
+    ("discrete_f3", "completeness"): 182,
+    ("discrete_f3", "hom-exactness"): 72,
+    ("discrete_f3", "reduction"): 114,
+    ("discrete_f3", "transpose"): 128,
+    ("sierpinski_rank4", "annihilator-theorem"): 488,
+    ("sierpinski_rank4", "completeness"): 156,
+    ("sierpinski_rank4", "hom-exactness"): 84,
+    ("sierpinski_rank4", "reduction"): 124,
+    ("sierpinski_rank4", "transpose"): 118,
 }
 
 

@@ -20,6 +20,7 @@ from sheafplectic.exactalg import (
     coordinates,
     echelon_complement,
     kernel_basis,
+    rank_of,
     rref,
     solve,
     subspace_intersection,
@@ -320,6 +321,72 @@ def test_prime_field_kernels_reject_other_scalars(bad):
 def test_mixed_field_arithmetic_still_raises():
     with pytest.raises(TypeError):
         PrimeField(3).one + PrimeField(5).one
+
+
+# ---------------------------------------------------------------------------
+# kernels: the reference eliminates, then spans the free-variable vectors,
+# which are reduced only for the reversed column order, in a second one
+
+def ref_kernel_basis(m):
+    reduced, pivots = rref(m.field, m.entries, m.cols)
+    field = m.field
+    free = [j for j in range(m.cols) if j not in pivots]
+    vectors = []
+    for f in free:
+        v = [field.zero] * m.cols
+        v[f] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][f]
+        vectors.append(tuple(v))
+    return Subspace.span(field, m.cols, vectors)
+
+
+@st.composite
+def kernel_matrices(draw, field):
+    """Matrices from 0x0 to 6x6: rows spanning a random subspace (rank
+    drops), independent random rows (mostly full rank, wide or tall), or
+    all zero."""
+    kind = draw(st.sampled_from(["spanned", "random", "zero"]))
+    if kind == "spanned":
+        rows, cols = draw(row_lists(field))
+    else:
+        cols = draw(st.integers(0, 6))
+        entry = scalars(field) if kind == "random" else st.just(field.zero)
+        rows = draw(st.lists(st.tuples(*[entry] * cols), max_size=6))
+    return Matrix.from_rows(field, rows, cols=cols)
+
+
+def check_kernel(m):
+    got = kernel_basis(m)
+    assert got == ref_kernel_basis(m)
+    assert_field_scalars(m.field, got.basis)
+    assert got.ambient_dim == m.cols
+    assert got.dim == m.cols - rank_of(m)
+    zero = (m.field.zero,) * m.rows
+    assert all(m.mat_vec(v) == zero for v in got.basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_kernel_matches_rref_then_span(field, data):
+    check_kernel(data.draw(kernel_matrices(field)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("rows, cols", [
+    ([], 0),                                    # 0x0
+    ([], 3),                                    # no rows
+    ([(), ()], 0),                              # rows of width zero
+    ([(0, 0, 0), (0, 0, 0)], 3),                # zero
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),     # full rank, square
+    ([(1, 2, 3, 4, 5), (0, 1, 1, 2, 3)], 5),    # full rank, wide
+    ([(1, 2), (3, 4), (5, 7), (1, 1)], 2),      # full rank, tall
+    ([(0, 1, 2, 0), (0, 2, 4, 0)], 4),          # rank one, zero columns
+], ids=["0x0", "0x3", "2x0", "zero", "square", "wide", "tall", "rank-one"])
+def test_kernel_edge_cases(field, rows, cols):
+    rows = [tuple(field.from_int(a) for a in r) for r in rows]
+    check_kernel(Matrix.from_rows(field, rows, cols=cols))
 
 
 # ---------------------------------------------------------------------------

@@ -527,13 +527,13 @@ V_SPACE = FiniteSpace(("a", "b", "c"),
 
 def test_hom_exactness_matches_family_reference():
     """The whole report, every open's dimensions and verdicts, on 300 draws
-    over F_2, F_3 and Q: up to four points, rank 0-3, probe rank 0-2."""
+    over F_2, F_3 and Q: up to four points, rank 0-3, probe rank 0-3."""
     for seed in range(300):
         rng = random.Random(seed)
         space = V_SPACE if rng.random() < 0.2 else rand_space(rng, 4)
         field = rng.choice([PrimeField(2), PrimeField(3), QQ])
         e = FreeModuleSheaf(space, field, rng.randint(0, 3))
         f = rand_stalks(e, rng)
-        probe = FreeModuleSheaf(space, field, rng.randint(0, 2))
+        probe = FreeModuleSheaf(space, field, rng.randint(0, 3))
         assert (check_hom_exactness(f, probe)
                 == ref_check_hom_exactness(f, probe)), "seed %d" % seed
