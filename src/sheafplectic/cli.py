@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -34,7 +33,7 @@ from .sheaf import (
 )
 
 MANIFEST_FORMAT = "sheafplectic-manifest/1"
-DEFAULT_MAX_POINTS = 12
+MAX_POINTS = 12
 MAX_OPENS = 64
 # primality is tested by trial division, in time growing with sqrt(modulus)
 MAX_MODULUS = 2 ** 31 - 1
@@ -78,17 +77,6 @@ class Manifest:
     @property
     def module(self) -> FreeModuleSheaf:
         return FreeModuleSheaf(self.space, self.field, self.rank)
-
-
-def _point_cap() -> int:
-    cap = DEFAULT_MAX_POINTS
-    env = os.environ.get("SHEAFPLECTIC_MAX_POINTS")
-    if env is not None:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            pass
-    return cap
 
 
 def _parse_scalar(field, path: str, value):
@@ -149,10 +137,9 @@ def parse_manifest(text: str) -> Manifest:
     if not isinstance(points, list) or \
             not all(isinstance(p, str) for p in points):
         raise ValidationError("space.points", "must be a list of names")
-    if len(points) > _point_cap():
-        raise ValidationError("space.points",
-                              "%d points exceed the cap of %d"
-                              % (len(points), _point_cap()))
+    if len(points) > MAX_POINTS:
+        raise ValidationError("space.points", "%d points exceed the cap of %d"
+                              % (len(points), MAX_POINTS))
     opens = spc["opens"]
     if not isinstance(opens, list) or \
             not all(isinstance(o, list) for o in opens):

@@ -176,6 +176,8 @@ class PrimeField:
     ordered = False
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise TypeError("modulus %r is not an int" % (self.p,))
         if not _is_prime(self.p):
             raise ValueError("modulus %r is not prime" % (self.p,))
 
@@ -352,13 +354,6 @@ class Matrix:
             raise ValueError("shape mismatch in matrix sum")
         return Matrix(self.field, self.rows, self.cols,
                       tuple(add_vectors(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(-a for a in r) for r in self.entries))
 
     def mat_vec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:

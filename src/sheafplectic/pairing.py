@@ -183,17 +183,18 @@ def induced_endomorphism(p: PairingSheaf, s: MorphismSheaf,
     pairing.  Raises ``NotInvariant`` with a witness vector otherwise."""
     restricted_mats = {}
     for x in p.space.points:
-        stalk, sx = g.stalks[x], s.mats[x]
-        restricted_mats[x] = coordinates(stalk, [sx.mat_vec(v) for v in stalk.basis])
+        stalk = g.stalks[x]
+        images = (stalk.matrix() @ s.mats[x].transpose()).entries
+        restricted_mats[x] = coordinates(stalk, images)
         if restricted_mats[x] is None:
-            raise NotInvariant(x, next(v for v in stalk.basis
-                                       if not stalk.contains(sx.mat_vec(v))))
+            raise NotInvariant(x, next(v for v, image in zip(stalk.basis, images)
+                                       if not stalk.contains(image)))
     t = transpose_endomorphism(p, s)
     ip = induced_pairing(p, g)
     induced_mats = {}
     for x in p.space.points:
         perp, tx = ip.perp.stalks[x], t.mats[x]
-        if coordinates(perp, [tx.mat_vec(w) for w in perp.basis]) is None:
+        if coordinates(perp, (perp.matrix() @ tx.transpose()).entries) is None:
             raise RuntimeError("annihilator failed to be invariant at %r" % x)
         q = ip.quotient.proj[x]
         c = ip.quotient.complements[x].matrix()

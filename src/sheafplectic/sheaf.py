@@ -656,9 +656,8 @@ def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
         d = cplt.dim
         proj_rows = [minv.entries[j + t] for t in range(d)]
         q = Matrix.from_rows(field, proj_rows, cols=n)
-        for row in by_stalk.basis:
-            if any(q.mat_vec(row)):
-                raise RuntimeError("projection does not kill the denominator at %r" % x)
+        if not (by_stalk.matrix() @ q.transpose()).is_zero():
+            raise RuntimeError("projection does not kill the denominator at %r" % x)
         complements[x] = cplt
         proj[x] = q
     quot = QuotientSheaf(e, f, within, complements, proj)

@@ -12,12 +12,14 @@ with the shape its point needs.  The Darboux routine fixes its
 pivots at the requested point and then keeps exactly the largest open
 neighbourhood on which every pivot stays nonzero and the residual dies; on
 a finite space that floor is the minimal open of the point, and failure
-there is reported with the offending witness.
+there is reported with the offending witness.  Reconstruction is checked
+with one product per point: with the pairs' values as the rows of P and Q,
+the wedge sum of a_k ^ b_k is M - M^T for M = P^T Q.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._records import record
 from .exactalg import (
@@ -125,8 +127,8 @@ def flat(w: TwoFormSheaf) -> FlatResult:
     quot, proj = quotient(e, kernel)
     iso = {}
     for x in e.space.points:
-        iso[x] = coordinates(image.stalks[x], [w.coeff[x].mat_vec(rep)
-                                               for rep in quot.complements[x].basis])
+        iso[x] = coordinates(image.stalks[x], (quot.complements[x].matrix()
+                                               @ w.coeff[x].transpose()).entries)
         if iso[x] is None:
             raise RuntimeError("lowered representative escaped the image at %r" % x)
         d = quot.stalk_dim(x)
@@ -165,12 +167,6 @@ class DarbouxResult:
     half_rank: int
     pivots: tuple
     permutation: tuple
-
-
-def _wedge_coeff(field: Field, a: Sequence, b: Sequence) -> Matrix:
-    n = len(a)
-    rows = [tuple(a[i] * b[j] - b[i] * a[j] for j in range(n)) for i in range(n)]
-    return Matrix.from_rows(field, rows, cols=n)
 
 
 def _replay(a: Matrix, steps: tuple, seed_row: Optional[tuple],
@@ -290,14 +286,16 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
 
 
 def darboux_reconstructs(w: TwoFormSheaf, result: DarbouxResult) -> bool:
-    """Exact equality of coefficients with the wedge sum on the neighbourhood."""
-    field = w.field
+    """Exact equality of coefficients with the wedge sum on the
+    neighbourhood, entrywise against M - M^T for M = P^T Q."""
+    field, n = w.field, w.module.rank
     for y in w.space.member_points(result.neighborhood):
-        acc = Matrix.zeros(field, w.module.rank, w.module.rank)
-        for s1, s2 in result.pairs:
-            acc = acc + _wedge_coeff(field, s1.values[y], s2.values[y])
-        if (w.coeff[y] - acc).entries != Matrix.zeros(field, w.module.rank,
-                                                      w.module.rank).entries:
+        p = Matrix.from_rows(field, [s1.values[y] for s1, _ in result.pairs], cols=n)
+        q = Matrix.from_rows(field, [s2.values[y] for _, s2 in result.pairs], cols=n)
+        m = (p.transpose() @ q).entries
+        coeff = w.coeff[y].entries
+        if any(coeff[i][j] != m[i][j] - m[j][i]
+               for i in range(n) for j in range(n)):
             return False
     return True
 
@@ -517,7 +515,7 @@ def reduce_lagrangian(sm: SymplecticModule, f: SubmoduleSheaf,
     stalks = {}
     for x in sm.module.space.points:
         meet = subspace_intersection(g.stalks[x], f.stalks[x])
-        rows = [red.projection.mats[x].mat_vec(v) for v in meet.basis]
+        rows = (meet.matrix() @ red.projection.mats[x].transpose()).entries
         img = Subspace.span(field, red.reduced_dim(x), rows)
         b = img.matrix()
         if not (b @ red.reduced_form[x] @ b.transpose()).is_zero():

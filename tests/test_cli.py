@@ -140,15 +140,24 @@ class TestParseManifest:
         del doc["form"]
         assert parse_manifest(json.dumps(doc)).field.p == 2 ** 31 - 1
 
-    def test_point_cap(self, monkeypatch):
-        monkeypatch.setenv("SHEAFPLECTIC_MAX_POINTS", "1")
+    @staticmethod
+    def chain_manifest(n):
+        """MINIMAL on the chain topology of ``n`` points."""
         doc = json.loads(MINIMAL)
-        doc["space"] = {"points": ["a", "b"],
-                        "opens": [[], ["a"], ["a", "b"]]}
-        doc["form"] = {x: [["0", "1"], ["-1", "0"]] for x in ("a", "b")}
+        points = ["p%d" % i for i in range(n)]
+        doc["space"] = {"points": points,
+                        "opens": [points[:k] for k in range(n + 1)]}
+        doc["form"] = {x: [["0", "1"], ["-1", "0"]] for x in points}
+        return json.dumps(doc)
+
+    def test_point_cap(self):
         with pytest.raises(ValidationError) as exc:
-            parse_manifest(json.dumps(doc))
-        assert "cap" in exc.value.message
+            parse_manifest(self.chain_manifest(13))
+        assert exc.value.path == "space.points"
+        assert exc.value.message == "13 points exceed the cap of 12"
+
+    def test_point_cap_is_accepted(self):
+        assert len(parse_manifest(self.chain_manifest(12)).space.points) == 12
 
     def test_round_trip_all_example_manifests(self):
         for name in sorted(MANIFESTS.glob("*.json")):
@@ -293,6 +302,21 @@ class TestInternalErrors:
         assert "Traceback" not in proc.stderr
         assert [json.loads(line) for line in
                 proc.stdout.splitlines()] == [self.RECORD]
+
+
+class TestSuiteFailures:
+    def test_transpose_suite_fails_without_transposes(self, monkeypatch, capsys):
+        # with the untransposed family in place of the transpose, exactly the
+        # checks that tell a map from its transpose fail
+        monkeypatch.setattr(suites, "transpose_morphism", lambda m: m)
+        code = main(["-m", str(MANIFESTS / "discrete_f3.json"), "check",
+                     "--suite", "transpose", "--seed-rng", "7"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [r["check"] for r in records if r.get("verdict") == "fail"
+                and "check" in r] == ["transpose/contravariance",
+                                      "transpose/kernel-is-image-annihilator"]
+        assert records[-1]["verdict"] == "fail"
 
 
 class TestProcessLevel:

@@ -65,6 +65,12 @@ class TestScalars:
         with pytest.raises(ValueError):
             PrimeField(6)
 
+    @pytest.mark.parametrize("bad", [3.0, "3", True])
+    def test_modulus_must_be_an_int(self, bad):
+        with pytest.raises(TypeError) as exc:
+            PrimeField(bad)
+        assert str(exc.value) == "modulus %r is not an int" % (bad,)
+
     def test_fp_division_by_zero(self):
         f2 = PrimeField(2)
         with pytest.raises(ZeroDivisionError):

@@ -15,8 +15,14 @@ from sheafplectic.sheaf import (
 )
 from sheafplectic.pairing import canonical_pairing
 from sheafplectic.space import FiniteSpace, sierpinski
+from sheafplectic.suites import (
+    nowhere_zero_lowered_covector,
+    rand_rankwise_form,
+    rand_space,
+)
 from sheafplectic.symplectic import (
     BadSeed,
+    DarbouxResult,
     NoAdmissibleNeighborhood,
     NotCoisotropic,
     NotLagrangian,
@@ -306,6 +312,69 @@ class TestDarboux:
         w = TwoFormSheaf(e, {"p": j})
         with pytest.raises(ValueError):
             darboux(w, "p", abs_normalize=True)
+
+
+def _wedge_coeff(field, a, b):
+    n = len(a)
+    rows = [tuple(a[i] * b[j] - b[i] * a[j] for j in range(n)) for i in range(n)]
+    return Matrix.from_rows(field, rows, cols=n)
+
+
+def reference_reconstructs(w, result):
+    """``darboux_reconstructs`` as a sum of one wedge matrix per pair, in
+    field arithmetic, compared entrywise with the coefficients."""
+    n = w.module.rank
+    for y in w.space.member_points(result.neighborhood):
+        acc = Matrix.zeros(w.field, n, n)
+        for s1, s2 in result.pairs:
+            acc = acc + _wedge_coeff(w.field, s1.values[y], s2.values[y])
+        if w.coeff[y].entries != acc.entries:
+            return False
+    return True
+
+
+def perturbed(result, field, rng):
+    """The result with one entry of one pair's first member moved by one at
+    one point: at an index where the second member b vanishes, or anywhere
+    when it vanishes nowhere, so that the added e_i ^ b is nonzero."""
+    k = rng.randrange(len(result.pairs))
+    s1, s2 = result.pairs[k]
+    y = rng.choice(sorted(s1.values))
+    i = next((i for i, c in enumerate(s2.values[y]) if not c), 0)
+    a = list(s1.values[y])
+    a[i] = a[i] + field.one
+    pairs = list(result.pairs)
+    pairs[k] = (Section(s1.over, {**s1.values, y: tuple(a)}), s2)
+    return DarbouxResult(result.at, result.neighborhood, pairs,
+                         result.half_rank, result.pivots, result.permutation)
+
+
+class TestDarbouxReconstructsDifferential:
+    """The one-product check against the pair-by-pair wedge sum, on true
+    results of plain and seeded ``darboux`` and on broken ones."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                       PrimeField(10007)], ids=str)
+    def test_matches_reference(self, field, n):
+        rng = random.Random("darboux-differential:%s:%d" % (field, n))
+        verdicts = []
+        for _ in range(4):
+            space = rand_space(rng, 3)
+            e = FreeModuleSheaf(space, field, n)
+            w = rand_rankwise_form(e, rng, 2 * rng.randint(1, n // 2))
+            x = rng.choice(space.points)
+            results = [darboux(w, x)]
+            probe = nowhere_zero_lowered_covector(w, x)
+            if probe is not None:
+                results.append(darboux(w, x, seed=probe))
+            for res in results:
+                assert darboux_reconstructs(w, res)
+                assert reference_reconstructs(w, res)
+                broken = perturbed(res, field, rng)
+                verdicts.append((darboux_reconstructs(w, broken),
+                                 reference_reconstructs(w, broken)))
+        assert verdicts and all(v == (False, False) for v in verdicts)
 
 
 class TestClassify:
