@@ -209,34 +209,27 @@ def parse_manifest(text: str) -> Manifest:
     if "form" in doc:
         form = TwoFormSheaf(module, _point_map(space, "form", doc["form"], skew))
 
-    pairings = {}
-    if "pairings" in doc:
-        if not isinstance(doc["pairings"], dict):
-            raise ValidationError("pairings", "must map names to gram families")
-        for name in sorted(doc["pairings"]):
-            gram = _point_map(space, "pairings.%s" % name,
-                              doc["pairings"][name], square)
-            pairings[name] = PairingSheaf(module, module, gram)
+    def named(key, what, build):
+        # a section mapping names to families, each built in name order
+        table = doc.get(key, {})
+        if not isinstance(table, dict):
+            raise ValidationError(key, "must map names to " + what)
+        return {name: build("%s.%s" % (key, name), table[name])
+                for name in sorted(table)}
 
-    submodules = {}
-    if "submodules" in doc:
-        if not isinstance(doc["submodules"], dict):
-            raise ValidationError("submodules", "must map names to stalk bases")
-        for name in sorted(doc["submodules"]):
-            stalks = _point_map(space, "submodules.%s" % name,
-                                doc["submodules"][name], stalk)
-            submodules[name] = SubmoduleSheaf(module, stalks)
+    def morphism(path, value):
+        heights.clear()
+        mats = _point_map(space, path, value, rows_of_equal_height)
+        target = FreeModuleSheaf(space, field, heights[0] if heights else 0)
+        return MorphismSheaf(module, target, mats)
 
-    morphisms = {}
-    if "morphisms" in doc:
-        if not isinstance(doc["morphisms"], dict):
-            raise ValidationError("morphisms", "must map names to matrix families")
-        for name in sorted(doc["morphisms"]):
-            heights.clear()
-            mats = _point_map(space, "morphisms.%s" % name,
-                              doc["morphisms"][name], rows_of_equal_height)
-            target = FreeModuleSheaf(space, field, heights[0] if heights else 0)
-            morphisms[name] = MorphismSheaf(module, target, mats)
+    pairings = named("pairings", "gram families", lambda path, value:
+                     PairingSheaf(module, module,
+                                  _point_map(space, path, value, square)))
+    submodules = named("submodules", "stalk bases", lambda path, value:
+                       SubmoduleSheaf(module,
+                                      _point_map(space, path, value, stalk)))
+    morphisms = named("morphisms", "matrix families", morphism)
 
     return Manifest(space, field, rank, form, pairings, submodules, morphisms)
 
@@ -297,13 +290,16 @@ def _cmd_validate(m: Manifest, args) -> Tuple[int, List[dict]]:
     return 0, [rec]
 
 
+def _named(table: dict, name: str):
+    if name not in table:
+        raise UnknownName(name)
+    return table[name]
+
+
 def _cmd_annihilator(m: Manifest, args) -> Tuple[int, List[dict]]:
     from .pairing import annihilator
-    if args.pairing not in m.pairings:
-        raise UnknownName(args.pairing)
-    if args.sub not in m.submodules:
-        raise UnknownName(args.sub)
-    perp = annihilator(m.pairings[args.pairing], m.submodules[args.sub])
+    perp = annihilator(_named(m.pairings, args.pairing),
+                       _named(m.submodules, args.sub))
     rec = {
         "command": "annihilator",
         "verdict": "value",
@@ -324,10 +320,8 @@ def _form_of(m: Manifest) -> TwoFormSheaf:
 
 def _cmd_classify(m: Manifest, args) -> Tuple[int, List[dict]]:
     from .symplectic import SymplecticModule, classify
-    if args.sub not in m.submodules:
-        raise UnknownName(args.sub)
-    sm = SymplecticModule(m.module, _form_of(m))
-    c = classify(sm, m.submodules[args.sub])
+    sub = _named(m.submodules, args.sub)
+    c = classify(SymplecticModule(m.module, _form_of(m)), sub)
     rec = {
         "command": "classify",
         "verdict": "value",
@@ -351,9 +345,7 @@ def _cmd_darboux(m: Manifest, args) -> Tuple[int, List[dict]]:
         raise UnknownName(args.at)
     seed = None
     if args.seed is not None:
-        if args.seed not in m.morphisms:
-            raise UnknownName(args.seed)
-        mor = m.morphisms[args.seed]
+        mor = _named(m.morphisms, args.seed)
         if mor.target.rank != 1:
             raise BadSeed("seed %r must be a single covector row per point"
                           % args.seed)
@@ -380,10 +372,8 @@ def _cmd_darboux(m: Manifest, args) -> Tuple[int, List[dict]]:
 
 def _cmd_reduce(m: Manifest, args) -> Tuple[int, List[dict]]:
     from .symplectic import NotCoisotropic, SymplecticModule, reduce
-    if args.sub not in m.submodules:
-        raise UnknownName(args.sub)
-    sm = SymplecticModule(m.module, _form_of(m))
-    red = reduce(sm, m.submodules[args.sub])
+    sub = _named(m.submodules, args.sub)
+    red = reduce(SymplecticModule(m.module, _form_of(m)), sub)
     if not red.coisotropic:
         raise NotCoisotropic("submodule %r is not co-isotropic" % args.sub)
     rec = {
@@ -399,8 +389,7 @@ def _cmd_reduce(m: Manifest, args) -> Tuple[int, List[dict]]:
 
 def _cmd_check(m: Manifest, args) -> Tuple[int, List[dict]]:
     from .suites import SUITES, run_suite
-    if args.suite not in SUITES:
-        raise UnknownName(args.suite)
+    _named(SUITES, args.suite)
     records = run_suite(args.suite, m, args.seed_rng)
     out = []
     ok_all = True

@@ -284,10 +284,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar], field: Field) -> Scalar:
     return _products(field, [u], [v])[0][0]
 
 
-def add_vectors(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -353,7 +349,8 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(add_vectors(a, b) for a, b in zip(self.entries, other.entries)))
+                      tuple(tuple(a + b for a, b in zip(r, s))
+                            for r, s in zip(self.entries, other.entries)))
 
     def mat_vec(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:

@@ -618,15 +618,6 @@ class QuotientSheaf:
     def stalk_dim(self, x: str) -> int:
         return self.complements[x].dim
 
-    def representative(self, x: str, coords: Sequence) -> tuple:
-        """Ambient vector representing the class with the given coordinates."""
-        basis = self.complements[x].basis
-        vec = [self.field.zero] * self.parent.rank
-        for c, row in zip(coords, basis):
-            for i, a in enumerate(row):
-                vec[i] = vec[i] + c * a
-        return tuple(vec)
-
 
 def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
              within: Optional[SubmoduleSheaf] = None):

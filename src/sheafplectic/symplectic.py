@@ -14,7 +14,8 @@ neighbourhood on which every pivot stays nonzero and the residual dies; on
 a finite space that floor is the minimal open of the point, and failure
 there is reported with the offending witness.  Reconstruction is checked
 with one product per point: with the pairs' values as the rows of P and Q,
-the wedge sum of a_k ^ b_k is M - M^T for M = P^T Q.
+the wedge sum of a_k ^ b_k is the stacked product [P; Q]^T [Q; -P] =
+P^T Q - Q^T P.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .exactalg import (
     Subspace,
     coordinates,
     kernel_basis,
-    orthogonal_complement,
     rank_of,
     rref,
     solve,
@@ -287,15 +287,14 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
 
 def darboux_reconstructs(w: TwoFormSheaf, result: DarbouxResult) -> bool:
     """Exact equality of coefficients with the wedge sum on the
-    neighbourhood, entrywise against M - M^T for M = P^T Q."""
+    neighbourhood, the product [P; Q]^T [Q; -P] = P^T Q - Q^T P."""
     field, n = w.field, w.module.rank
     for y in w.space.member_points(result.neighborhood):
-        p = Matrix.from_rows(field, [s1.values[y] for s1, _ in result.pairs], cols=n)
-        q = Matrix.from_rows(field, [s2.values[y] for _, s2 in result.pairs], cols=n)
-        m = (p.transpose() @ q).entries
-        coeff = w.coeff[y].entries
-        if any(coeff[i][j] != m[i][j] - m[j][i]
-               for i in range(n) for j in range(n)):
+        p = [s1.values[y] for s1, _ in result.pairs]
+        q = [s2.values[y] for _, s2 in result.pairs]
+        left = Matrix.from_rows(field, p + q, cols=n)
+        right = Matrix.from_rows(field, q + [[-a for a in r] for r in p], cols=n)
+        if (left.transpose() @ right).entries != w.coeff[y].entries:
             return False
     return True
 
@@ -403,8 +402,9 @@ def _isotropic_complement(sm: SymplecticModule,
         chosen: List[tuple] = []
         running = f.stalks[x]
         while running.dim < n:
-            candidates = orthogonal_complement(Subspace.span(field, n, chosen),
-                                               sm.form.coeff[x]).basis
+            # the orthogonal of the chosen rows C is the kernel of C omega
+            candidates = kernel_basis(Matrix.from_rows(field, chosen, cols=n)
+                                      @ sm.form.coeff[x]).basis
             # among the columns [running | candidates], the first pivot past
             # running's basis is the first candidate outside the running sum
             columns = running.basis + candidates

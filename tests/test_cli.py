@@ -134,6 +134,30 @@ class TestParseManifest:
             parse_manifest(json.dumps(doc))
         assert (exc.value.path, exc.value.message) == ("field.Fp", message)
 
+    def test_modulus_one_exits_three(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        doc["field"] = {"Fp": 1}
+        del doc["form"]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        assert main(["-m", str(path), "validate"]) == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["error"] == "ValidationError"
+        assert rec["witness"] == \
+            "invalid manifest at field.Fp: modulus 1 is not prime"
+
+    @pytest.mark.parametrize("value", [3, None])
+    @pytest.mark.parametrize("key,what", [
+        ("pairings", "gram families"), ("submodules", "stalk bases"),
+        ("morphisms", "matrix families")])
+    def test_named_table_must_be_a_map(self, key, what, value):
+        doc = json.loads(MINIMAL)
+        doc[key] = value
+        with pytest.raises(ValidationError) as exc:
+            parse_manifest(json.dumps(doc))
+        assert (exc.value.path, exc.value.message) == \
+            (key, "must map names to " + what)
+
     def test_modulus_cap_is_accepted(self):
         doc = json.loads(MINIMAL)
         doc["field"] = {"Fp": MAX_MODULUS}
@@ -382,6 +406,21 @@ class TestProcessLevel:
                 "check": suite + "/form/skipped", "verdict": "pass",
                 "detail": "form is degenerate at point a"} in records
         assert records[-1]["verdict"] == "pass"
+
+    def test_space_without_points_passes_every_suite(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "format": "sheafplectic-manifest/1",
+            "space": {"points": [], "opens": [[]]}, "field": "Q", "rank": 2}))
+        for suite in SUITE_NAMES:
+            code, out = run_cli("-m", str(path), "check", "--suite", suite,
+                                "--seed-rng", "1")
+            records = [json.loads(line) for line in out.splitlines()]
+            assert code == 0, (suite, out)
+            assert records and not any("error" in r for r in records)
+            if suite == "darboux":
+                assert records[0]["check"] == "darboux/skipped"
+                assert records[0]["detail"] == "no points"
 
     def test_human_rendering(self):
         code, out = run_cli("-m", "manifests/point_rank2.json", "--human",

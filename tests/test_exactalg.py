@@ -65,6 +65,12 @@ class TestScalars:
         with pytest.raises(ValueError):
             PrimeField(6)
 
+    @pytest.mark.parametrize("small", [0, 1, -7])
+    def test_modulus_below_two_is_not_prime(self, small):
+        with pytest.raises(ValueError) as exc:
+            PrimeField(small)
+        assert str(exc.value) == "modulus %d is not prime" % small
+
     @pytest.mark.parametrize("bad", [3.0, "3", True])
     def test_modulus_must_be_an_int(self, bad):
         with pytest.raises(TypeError) as exc:

@@ -95,6 +95,20 @@ class TestNondegeneracy:
     def test_rectangular_never_nondegenerate(self):
         assert not is_nondegenerate(one_point_pairing(qmat([[1, 0]]))).ok
 
+    def test_left_side_witness(self):
+        # a rank-2 sheaf paired with a rank-1 one: the 2x1 gram has full
+        # column rank, so only a left vector is killed
+        space = sierpinski()
+        e2 = FreeModuleSheaf(space, QQ, 2)
+        e1 = FreeModuleSheaf(space, QQ, 1)
+        g = qmat([[1], [2]])
+        res = is_nondegenerate(PairingSheaf(e2, e1, {"a": g, "b": g}))
+        assert (res.ok, res.point, res.side) == (False, "a", "left")
+        assert res.witness.over == space.minimal_open("a")
+        v = res.witness.values["a"]
+        assert any(v) and len(v) == 2
+        assert not any(g.vec_mat(v))
+
 
 class TestTheta:
     def test_identity_gram(self):

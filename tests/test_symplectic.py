@@ -3,7 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace, rank_of
+from sheafplectic.exactalg import (
+    Matrix,
+    PrimeField,
+    QQ,
+    Subspace,
+    orthogonal_complement,
+    rank_of,
+    rref,
+)
 from sheafplectic.sheaf import (
     FreeModuleSheaf,
     ParentMismatch,
@@ -17,6 +25,7 @@ from sheafplectic.pairing import canonical_pairing
 from sheafplectic.space import FiniteSpace, sierpinski
 from sheafplectic.suites import (
     nowhere_zero_lowered_covector,
+    rand_coisotropic_with_lagrangian,
     rand_rankwise_form,
     rand_space,
 )
@@ -450,6 +459,54 @@ class TestLagrangianComplement:
         f = SubmoduleSheaf(e, {"p": qspan(4, [[1, 0, 0, 0]])})
         with pytest.raises(NotLagrangian):
             lagrangian_complement(sm, f)
+
+
+def reference_isotropic_complement(sm, f):
+    """The complement by the same rule as ``lagrangian_complement``, with
+    the orthogonal of the chosen vectors taken as ``orthogonal_complement``
+    of their span."""
+    field, n = sm.module.field, sm.module.rank
+    stalks = {}
+    for x in sm.module.space.points:
+        chosen = []
+        running = f.stalks[x]
+        while running.dim < n:
+            candidates = orthogonal_complement(Subspace.span(field, n, chosen),
+                                               sm.form.coeff[x]).basis
+            columns = running.basis + candidates
+            _, pivots = rref(field, list(zip(*columns)), len(columns))
+            chosen.append(candidates[pivots[running.dim] - running.dim])
+            running = Subspace.span(field, n, running.basis + (chosen[-1],))
+        stalks[x] = Subspace.span(field, n, chosen)
+    return stalks
+
+
+class TestIsotropicComplementDifferential:
+    """The complement of ``classify`` and ``lagrangian_complement`` against
+    the reference, on the standard Lagrangian and on twisted ones."""
+
+    @pytest.mark.parametrize("n", range(2, 9, 2))
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                       PrimeField(10007)], ids=str)
+    def test_matches_reference(self, field, n):
+        rng = random.Random("complement-differential:%s:%d" % (field, n))
+        e = FreeModuleSheaf(rand_space(rng, 3), field, n)
+        sm = SymplecticModule(e, standard_form(e))
+        standard = Subspace.span(field, n, [
+            tuple(field.one if i == 2 * k else field.zero for i in range(n))
+            for k in range(n // 2)])
+        lagrangians = [SubmoduleSheaf(e, {x: standard
+                                          for x in e.space.points})]
+        lagrangians += [rand_coisotropic_with_lagrangian(e, rng)[1]
+                        for _ in range(3)]
+        for g in lagrangians:
+            expected = reference_isotropic_complement(sm, g)
+            c = classify(sm, g)
+            assert c.lagrangian
+            built = lagrangian_complement(sm, g)
+            for x in e.space.points:
+                assert c.isotropic_complement.stalks[x] == expected[x]
+                assert built.stalks[x] == expected[x]
 
 
 class TestReduce:
