@@ -31,8 +31,8 @@ _EXPORTS = {
                    "lagrangian_complement", "reduce", "reduce_lagrangian",
                    "standard_form"),
 }
-_SUBMODULES = ("cli", "exactalg", "oracle", "pairing", "sheaf", "space",
-               "suites", "symplectic")
+_SUBMODULES = ("cli", "exactalg", "pairing", "sheaf", "space", "suites",
+               "symplectic")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -472,35 +473,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outcome(command: str, verdict: str, error: str, witness: str) -> None:
-    sys.stdout.write(json.dumps({"command": command, "verdict": verdict,
-                                 "error": error, "witness": witness}) + "\n")
+def _outcome(command: str, verdict: str, error: str, witness: str) -> str:
+    return json.dumps({"command": command, "verdict": verdict,
+                       "error": error, "witness": witness}) + "\n"
 
 
-def main(argv=None) -> int:
-    started = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _report(args, started: float) -> Tuple[int, str]:
+    """The exit code and the text of stdout for parsed arguments."""
     try:
         with open(args.manifest, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        _write_outcome(args.command, "fail", "InputError", str(exc))
-        return 3
+        return 3, _outcome(args.command, "fail", "InputError", str(exc))
     try:
         manifest = parse_manifest(text)
         code, records = run_command(manifest, args.command, args)
     except (ParseError, ValidationError) as exc:
-        _write_outcome(args.command, "fail", type(exc).__name__, str(exc))
-        return 3
+        return 3, _outcome(args.command, "fail", type(exc).__name__, str(exc))
     except Exception as exc:
         # not an input error and not a mathematical fail: a fault of the
         # program, reported apart from both
-        _write_outcome(args.command, "error", type(exc).__name__, str(exc))
+        return 4, _outcome(args.command, "error", type(exc).__name__, str(exc))
+    return code, _render(records, args.human, time.monotonic() - started)
+
+
+def main(argv=None) -> int:
+    started = time.monotonic()
+    args = build_parser().parse_args(argv)
+    code, text = _report(args, started)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: say so on stderr, and point stdout
+        # at the null device so that the interpreter's final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(_outcome(args.command, "error", "BrokenPipeError",
+                                  str(exc)))
         return 4
-    sys.stdout.write(_render(records, args.human, time.monotonic() - started))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,9 +5,10 @@ names), so open-set indices are stable across runs.  Every open U is the
 union of the minimal opens U_x of its points, and ``minimal_cover`` keeps
 the largest of them: that cover refines every other cover of U, so the
 sheaf checks need no other.  ``irredundant_covers`` enumerates all covers
-in which no member lies in the union of the others; it serves the oracle's
-independent cross-check and the tests, and its count grows
-super-exponentially with the number of opens.
+in which no member lies in the union of the others; no command runs it.  It
+serves the independent cross-check of the oracle in ``tests/`` and the
+benchmark's tracing shim, and its count grows super-exponentially with the
+number of opens.
 """
 
 from __future__ import annotations

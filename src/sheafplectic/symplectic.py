@@ -231,10 +231,10 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
     steps: List[tuple] = []
     if seed is not None:
         steps.append(("seed", next(i for i, c in enumerate(seed_rows[x]) if c)))
-    ok, pairs, resid = _replay(w.coeff[x], tuple(steps), seed_rows.get(x),
-                               abs_normalize)
-    if not ok:
-        raise BadSeed("seed pairing degenerates at %r" % x)
+    # the seed step cannot fail here: its pivot is seed_rows[x]'s first
+    # nonzero entry
+    _, pairs, resid = _replay(w.coeff[x], tuple(steps), seed_rows.get(x),
+                              abs_normalize)
     while True:
         entry = resid.first_nonzero_entry()
         if entry is None:

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exactalg import Field, Matrix, PrimeField, Subspace
-from .sheaf import ExplicitPresheaf, PairingSheaf, Section, SubmoduleSheaf
+from sheafplectic.exactalg import Field, Matrix, PrimeField, Subspace
+from sheafplectic.sheaf import ExplicitPresheaf, PairingSheaf, Section, SubmoduleSheaf
 
 
 class BudgetExceeded(ValueError):

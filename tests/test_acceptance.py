@@ -22,12 +22,6 @@ from sheafplectic.exactalg import (
     subspace_intersection,
     subspace_sum,
 )
-from sheafplectic.oracle import (
-    enum_annihilator,
-    enum_rank,
-    enum_submodule_sections,
-    recompute_rank_via_minors,
-)
 from sheafplectic.pairing import (
     annihilator,
     induced_endomorphism,
@@ -67,6 +61,13 @@ from sheafplectic.symplectic import (
     reduce,
     reduce_lagrangian,
     standard_form,
+)
+
+from oracle import (
+    enum_annihilator,
+    enum_rank,
+    enum_submodule_sections,
+    recompute_rank_via_minors,
 )
 
 REPO = Path(__file__).resolve().parents[1]

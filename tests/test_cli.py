@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -428,3 +429,151 @@ class TestProcessLevel:
         assert code == 0
         assert out.startswith("[pass] validate")
         assert "elapsed" in out
+
+
+def _edit(key, value):
+    """MINIMAL with ``doc[key] = value``, or with the nested key a.b set."""
+    def edit(doc):
+        *outer, last = key.split(".")
+        target = doc
+        for k in outer:
+            target = target[k]
+        target[last] = value
+        return doc
+    return edit
+
+
+class TestValidatorPaths:
+    """Each way the validator refuses a manifest, called in process: the
+    error's class, its path and its message."""
+
+    @pytest.mark.parametrize("edit, path, message", [
+        (lambda doc: [], "$", "top level must be an object"),
+        (_edit("space", {"points": ["p0"]}), "space",
+         "needs exactly 'points' and 'opens'"),
+        (_edit("space.points", [1]), "space.points", "must be a list of names"),
+        (_edit("space.opens", "p0"), "space.opens",
+         "must be a list of point lists"),
+        (_edit("space.opens", [[], ["q"]]), "space",
+         "open set names unknown point 'q'"),
+        (_edit("space.points", ["p0", "p0"]), "space", "duplicate point names"),
+        (_edit("space", {"points": list("abcdefg"), "opens": [
+            [x for i, x in enumerate("abcdefg") if k >> i & 1]
+            for k in range(128)]}), "space.opens",
+         "128 opens exceed the cap of 64"),
+        (_edit("field", "R"), "field", 'must be "Q" or {"Fp": prime}'),
+        (_edit("rank", -1), "rank", "must be a non-negative integer"),
+        (_edit("form", []), "form", "must map point names to matrices"),
+        (_edit("form.p0", "0"), "form.p0", "matrix must be a list of rows"),
+        (_edit("form.p0", [["0"], ["-1", "0"]]), "form.p0[0]",
+         "expected 2 entries, got 1"),
+        (_edit("submodules", {"L": {"p0": "1"}}), "submodules.L.p0",
+         "must be a list of basis rows"),
+        (_edit("morphisms", {"S": {"p0": [["1", "0"]], "p1": [["1", "0"],
+                                                              ["0", "1"]]}}),
+         "morphisms.S.p1", "row count differs between points"),
+    ], ids=["top-level", "space-keys", "points", "opens", "unknown-point",
+            "duplicate-point", "open-cap", "field", "rank", "point-map",
+            "rows", "row-length", "stalk", "morphism-height"])
+    def test_refused(self, edit, path, message):
+        doc = json.loads(MINIMAL)
+        if path.startswith("morphisms"):
+            doc["space"] = {"points": ["p0", "p1"],
+                            "opens": [[], ["p0"], ["p1"], ["p0", "p1"]]}
+            del doc["form"]
+        with pytest.raises(ValidationError) as exc:
+            parse_manifest(json.dumps(edit(doc)))
+        assert type(exc.value) is ValidationError
+        assert (exc.value.path, exc.value.message) == (path, message)
+
+
+class TestInProcess:
+    """The command line's paths, run through ``main`` in this process."""
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, name", [
+        (["classify", "--sub", "L"], "form"),
+        (["darboux", "--at", "q"], "q"),
+    ], ids=["no-form", "unknown-point"])
+    def test_unknown_name_is_a_failing_record(self, capsys, tmp_path, argv,
+                                              name):
+        doc = json.loads(MINIMAL)
+        if name == "form":
+            del doc["form"]
+        doc["submodules"] = {"L": {"p0": [["1", "0"]]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out = self.run(capsys, "-m", str(path), *argv)
+        assert code == 1
+        assert json.loads(out) == {"command": argv[0], "verdict": "fail",
+                                   "error": "UnknownName",
+                                   "witness": "unknown name: " + name}
+
+    def test_unreadable_manifest_is_an_input_error(self, capsys, tmp_path):
+        code, out = self.run(capsys, "-m", str(tmp_path / "missing.json"),
+                             "validate")
+        assert code == 3
+        rec = json.loads(out)
+        assert (rec["command"], rec["verdict"], rec["error"]) == \
+            ("validate", "fail", "InputError")
+        assert "missing.json" in rec["witness"]
+
+    def test_human_rendering(self, capsys):
+        code, out = self.run(capsys, "-m", str(MANIFESTS / "point_rank2.json"),
+                             "--human", "reduce", "--sub", "L")
+        head, elapsed = out.splitlines()
+        assert code == 0
+        assert head == ('[pass] reduce {"sub": "L", "reduced_dims": {"p0": 0}, '
+                        '"reduced_form": {"p0": []}}')
+        assert elapsed.startswith("elapsed: ") and elapsed.endswith("s")
+
+    def test_module_entry_point(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [
+            "sheafplectic", "-m", str(MANIFESTS / "point_rank2.json"),
+            "validate"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("sheafplectic", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+CLOSED_RECORD = {"command": "validate", "verdict": "error",
+                 "error": "BrokenPipeError", "witness": "[Errno 32] Broken pipe"}
+
+
+class TestClosedStdout:
+    """When the reader of stdout has gone, the command reports an internal
+    error on stderr, exit code 4, and prints no traceback."""
+
+    def test_in_process(self, capsys, monkeypatch, tmp_path):
+        class Closed:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", Closed(handle.fileno()))
+            code = main(["-m", str(MANIFESTS / "point_rank2.json"), "validate"])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err) == CLOSED_RECORD
+
+    def test_process(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sheafplectic", "-m",
+             "manifests/point_rank2.json", "validate"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO,
+            env=CLI_ENV, text=True)
+        # the child is still starting its interpreter: it writes after this
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 4
+        assert "Traceback" not in err
+        assert [json.loads(line) for line in err.splitlines()] == [CLOSED_RECORD]

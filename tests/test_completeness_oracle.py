@@ -5,10 +5,15 @@ points: the sections of a random stalkwise sub-sheaf, a sub-presheaf of
 that (fails S2 in general) and a quotient of either by a sub-presheaf
 (fails S1 in general).  The oracle checks both axioms over every
 irredundant cover by enumerating sections and families.
+
+``check_completeness`` skips the opens whose minimal cover is the open
+alone, so chains, where every nonempty open is such an open, get their own
+draws, and so do presheaves that fail away from the skipped opens.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafplectic.exactalg import (
@@ -20,16 +25,19 @@ from sheafplectic.exactalg import (
     inverse,
     solve,
 )
-from sheafplectic.oracle import enum_gluing_check
 from sheafplectic.sheaf import (
     ExplicitPresheaf,
     FreeModuleSheaf,
     check_completeness,
+    constant_presheaf,
+    full_submodule,
     sections_presheaf,
     sheafify,
 )
-from sheafplectic.space import FiniteSpace
+from sheafplectic.space import FiniteSpace, chain
 from sheafplectic.suites import rand_stalks
+
+from oracle import enum_gluing_check
 
 F2 = PrimeField(2)
 
@@ -88,14 +96,26 @@ def quotient_presheaf(p, k):
                      lambda v, vec: solve(frame[v], vec)[k[v].dim:])
 
 
-def rand_presheaf(rng):
-    e = FreeModuleSheaf(rand_space(rng), F2, rng.randint(1, 2))
+def rand_presheaf(rng, space=None):
+    e = FreeModuleSheaf(space or rand_space(rng), F2, rng.randint(1, 2))
     p = sections_presheaf(rand_stalks(e, rng))
     if rng.random() < 0.7:
         p = sub_presheaf(p, rand_closed_subspaces(p, rng))
     if rng.random() < 0.6:
         p = quotient_presheaf(p, rand_closed_subspaces(p, rng))
     return p
+
+
+def direct_sum(p, q):
+    """P (+) Q, with block-diagonal restrictions."""
+    def block(a, b):
+        return Matrix.from_rows(
+            F2, [row + (F2.zero,) * b.cols for row in a.entries]
+            + [(F2.zero,) * a.cols + row for row in b.entries],
+            cols=a.cols + b.cols)
+    return ExplicitPresheaf(
+        p.space, F2, [a + b for a, b in zip(p.dims, q.dims)],
+        {key: block(r, q.restrictions[key]) for key, r in p.restrictions.items()})
 
 
 def sections(p, u):
@@ -126,10 +146,7 @@ def assert_witnesses_hold(p, main):
                    != main.s2.family for s in sections(p, u))
 
 
-@settings(max_examples=200, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_axioms_agree_with_the_oracle(rng):
-    p = rand_presheaf(rng)
+def assert_agrees_with_the_oracle(p):
     assert p.functoriality_failures() == []
     main = check_completeness(p)
     reps = [enum_gluing_check(p, u) for u in range(len(p.space.opens))]
@@ -138,6 +155,47 @@ def test_axioms_agree_with_the_oracle(rng):
     if main.s1 is None:
         assert open_of(main.s2) == first_open(reps, lambda r: not r.s2_ok)
     assert_witnesses_hold(p, main)
+    return main
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_axioms_agree_with_the_oracle(rng):
+    assert_agrees_with_the_oracle(rand_presheaf(rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_axioms_agree_with_the_oracle_on_chains(rng):
+    """On a chain only the empty open can fail, and only S1: sections over
+    it that restrict to nothing.  A constant summand puts some there."""
+    space = chain(("a", "b", "c")[:rng.randint(1, 3)])
+    p = rand_presheaf(rng, space)
+    if rng.random() < 0.5:
+        p = direct_sum(p, constant_presheaf(space, F2, 1))
+    main = assert_agrees_with_the_oracle(p)
+    assert main.s2 is None
+    assert open_of(main.s1) == (0 if p.dims[0] else None)
+
+
+V_SPACE = FiniteSpace(("a", "b", "c"), [(), ("a",), ("a", "b"), ("a", "c"),
+                                        ("a", "b", "c")])
+DISCRETE2 = FiniteSpace(("a", "b"), [(), ("a",), ("b",), ("a", "b")])
+
+
+@pytest.mark.parametrize("space", [DISCRETE2, V_SPACE], ids=["discrete", "V"])
+@pytest.mark.parametrize("axiom", ["s1", "s2"])
+def test_a_failure_on_the_whole_space_is_found(space, axiom):
+    """The whole space has a two-member minimal cover, so it is never
+    skipped.  Keeping the sections over it alone fails S1 there; dropping
+    them alone fails S2 there."""
+    p = sections_presheaf(full_submodule(FreeModuleSheaf(space, F2, 1)))
+    top = len(space.opens) - 1
+    rest = {u: (Subspace.zero if u == top else Subspace.full)(F2, p.dims[u])
+            for u in range(len(space.opens))}
+    p = quotient_presheaf(p, rest) if axiom == "s1" else sub_presheaf(p, rest)
+    main = assert_agrees_with_the_oracle(p)
+    assert open_of(getattr(main, axiom)) == top
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,7 +19,8 @@ from sheafplectic.exactalg import (
     subspace_intersection,
     subspace_sum,
 )
-from sheafplectic.oracle import recompute_rank_via_minors
+
+from oracle import recompute_rank_via_minors
 
 
 def qmat(rows):
@@ -50,6 +51,11 @@ class TestScalars:
         assert f3.from_int(-1).value == 2
         assert (f3.from_int(2) * f3.from_int(2)).value == 1
         assert (f3.from_int(2) / f3.from_int(2)).value == 1
+
+    def test_prime_field_element_prints_its_residue(self):
+        f7 = PrimeField(7)
+        assert str(f7.from_int(-1)) == "6"
+        assert str(f7.zero) == "0"
 
     def test_prime_field_axioms(self):
         f5 = PrimeField(5)

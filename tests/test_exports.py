@@ -39,6 +39,13 @@ def test_submodule_by_name():
         importlib.import_module("sheafplectic.pairing")
 
 
+def test_submodule_by_name_through_the_lazy_lookup():
+    # once imported, a submodule is a plain attribute of the package, so
+    # the lookup is called directly
+    assert sheafplectic.__getattr__("suites") is \
+        importlib.import_module("sheafplectic.suites")
+
+
 def test_readme_library_example_runs():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     snippet = re.search(r"## Library example\n\n```python\n(.*?)```", readme,

@@ -3,14 +3,6 @@ import random
 import pytest
 
 from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace, rank_of
-from sheafplectic.oracle import (
-    BudgetExceeded,
-    enum_annihilator,
-    enum_gluing_check,
-    enum_rank,
-    enum_submodule_sections,
-    recompute_rank_via_minors,
-)
 from sheafplectic.pairing import PairingSheaf, annihilator
 from sheafplectic.sheaf import (
     FreeModuleSheaf,
@@ -22,6 +14,15 @@ from sheafplectic.sheaf import (
     check_completeness,
 )
 from sheafplectic.space import FiniteSpace, discrete
+
+from oracle import (
+    BudgetExceeded,
+    enum_annihilator,
+    enum_gluing_check,
+    enum_rank,
+    enum_submodule_sections,
+    recompute_rank_via_minors,
+)
 
 F2 = PrimeField(2)
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])

@@ -163,7 +163,7 @@ class TestAnnihilator:
         g = SubmoduleSheaf(e, {"a": Subspace.span(f2, 2, [(f2.one, f2.zero)]),
                                "b": Subspace.span(f2, 2, [])})
         perp = annihilator(p, g)
-        from sheafplectic.oracle import enum_annihilator, enum_submodule_sections
+        from oracle import enum_annihilator, enum_submodule_sections
         u = sp.index_of(("a", "b"))
         brute = enum_annihilator(p, g, u)
         spanned = enum_submodule_sections(perp, u)

@@ -83,7 +83,7 @@ class TestSectionsBasis:
         basis = sections_basis(f, u)
         assert len(basis) == 3
         # enumeration oracle: a dim-3 F_2 space has exactly 8 sections
-        from sheafplectic.oracle import enum_submodule_sections
+        from oracle import enum_submodule_sections
         assert len(enum_submodule_sections(f, u)) == 2 ** 3
 
 
@@ -104,6 +104,26 @@ class TestSectionsBasis:
                 assert sum(1 for x in pts if any(s.values[x])) == 1
             flat = [sum((s.values[x] for x in pts), ()) for s in basis]
             assert Subspace.span(field, e.rank * len(pts), flat).dim == len(basis)
+
+
+class TestSectionsModule:
+    """The sections over one open form a module, pointwise."""
+
+    def test_sum_and_multiple(self):
+        sp = sierpinski()
+        e = FreeModuleSheaf(sp, QQ, 2)
+        u, ua = sp.index_of(("a", "b")), sp.index_of(("a",))
+        s = make_section(e, u, {"a": (F(1), F(2)), "b": (F(0), F(1))})
+        t = make_section(e, u, {"a": (F(3), F(0)), "b": (F(1, 2), F(-1))})
+        assert (s + t).values == {"a": (F(4), F(2)), "b": (F(1, 2), F(0))}
+        assert (s + s.scale(F(-1))).is_zero()
+        assert restrict_section(sp, s + t, ua) == \
+            restrict_section(sp, s, ua) + restrict_section(sp, t, ua)
+
+    def test_submodule_repr_names_rank_and_stalk_dims(self):
+        e = FreeModuleSheaf(sierpinski(), QQ, 2)
+        f = submodule(e, {"a": [[1, 0]], "b": []})
+        assert repr(f) == "SubmoduleSheaf(rank=2, stalk_dims=[1, 0])"
 
 
 class TestGlue:

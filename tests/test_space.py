@@ -38,6 +38,15 @@ class TestValidation:
         rep = validate_topology(s)
         assert rep.kind == "NotClosedUnderIntersection"
 
+    @pytest.mark.parametrize("points, opens, text", [
+        ("ab", [(), ("a",), ("a", "b")], "ok"),
+        ("ab", [(), ("a",)], "MissingEmptyOrFull"),
+        ("abc", [(), ("a",), ("b",), ("a", "b", "c")],
+         "NotClosedUnderUnion(1, 2)"),
+    ])
+    def test_report_prints_its_verdict(self, points, opens, text):
+        assert str(validate_topology(FiniteSpace(tuple(points), opens))) == text
+
     def test_unknown_point_rejected(self):
         with pytest.raises(UnknownPoint):
             FiniteSpace(("a",), [(), ("a", "z")])

@@ -14,6 +14,7 @@ from sheafplectic.exactalg import (
 )
 from sheafplectic.sheaf import (
     FreeModuleSheaf,
+    PairingSheaf,
     ParentMismatch,
     Section,
     SubmoduleSheaf,
@@ -534,6 +535,21 @@ class TestReduce:
         perp = form_perp(self.sm, f)
         assert red.reduced_dim("p") == f.stalks["p"].dim - perp.stalks["p"].dim == 2
         assert rank_of(red.reduced_form["p"]) == 2
+
+    def test_reduced_form_evaluates_as_a_pairing(self):
+        # as ReducedModule's docstring says: the reduced form is a pairing of
+        # the quotient with itself, over the quotient's field
+        f = SubmoduleSheaf(self.sm.module,
+                           {"p": qspan(4, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 1, 0]])})
+        red = reduce(self.sm, f)
+        form = PairingSheaf(red.quotient, red.quotient, red.reduced_form)
+        assert form.field == red.quotient.field == QQ
+        first = Section(1, {"p": (F(1), F(0))})
+        second = Section(1, {"p": (F(0), F(1))})
+        assert form.evaluate(first, second) == \
+            {"p": red.reduced_form["p"].entries[0][1]}
+        assert form.evaluate(first, second)["p"] != 0
 
     def test_representative_independence(self):
         rng = random.Random(21)
