@@ -183,11 +183,9 @@ def parse_manifest(text: str) -> Manifest:
 
     def skew(path, value):
         m = square(path, value)
-        for i in range(rank):
-            if m.entries[i][i]:
-                raise ValidationError(path, "diagonal must be zero")
         if not m.is_skew():
-            raise ValidationError(path, "matrix must be skew")
+            raise ValidationError(path, "diagonal must be zero" if any(
+                m.entries[i][i] for i in range(rank)) else "matrix must be skew")
         return m
 
     def stalk(path, rows):

@@ -387,6 +387,7 @@ def rref(field: Field, rows_data: Iterable[Sequence[Scalar]], cols: int):
     normalised to one and pivot columns cleared.  Pivot choice is the first
     nonzero entry scanning columns left to right, rows top to bottom.  The
     elimination runs on ints: fraction-free over Q, on residues over F_p.
+    Rows below the pivot row, zero before its column, update from it on.
     """
     work = [_ints(field, r)[0] for r in rows_data]
     prime = isinstance(field, PrimeField)
@@ -409,12 +410,14 @@ def rref(field: Field, rows_data: Iterable[Sequence[Scalar]], cols: int):
             f = row[c]
             if i == r or not f:
                 continue
+            s = c if i > r else 0
             if prime:
-                work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+                row = [(a - f * b) % p for a, b in zip(row[s:], prow[s:])]
             else:
-                row = [pv * a - f * b for a, b in zip(row, prow)]
+                row = [pv * a - f * b for a, b in zip(row[s:], prow[s:])]
                 g = math.gcd(*row)
-                work[i] = [a // g for a in row] if g > 1 else row
+                row = [a // g for a in row] if g > 1 else row
+            work[i] = [0] * s + row
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -616,7 +619,7 @@ def echelon_complement(sub: Subspace, within: Optional[Subspace] = None) -> Subs
     """
     if within is None:
         within = Subspace.full(sub.field, sub.ambient_dim)
-    if not sub.is_subspace_of(within):
+    elif not sub.is_subspace_of(within):
         raise AmbientMismatch("subspace is not inside the enclosing space")
     taken = {_pivot(v) for v in sub.basis}
     return Subspace(sub.field, sub.ambient_dim,

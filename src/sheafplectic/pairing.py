@@ -153,8 +153,6 @@ def induced_pairing(p: PairingSheaf, g: SubmoduleSheaf) -> InducedPairing:
     check = is_nondegenerate(p)
     if not check:
         raise Degenerate("pairing is degenerate at %r" % (check.point,))
-    if g.parent != p.left:
-        raise ParentMismatch("sub-sheaf does not live in the left side")
     perp = annihilator(p, g)
     quot, proj = quotient(p.right, perp)
     gram = {}

@@ -5,8 +5,9 @@ map from its points into the field, so a section of the rank-n free sheaf
 is a point-indexed family of n-vectors and restriction is plain function
 restriction.  Sub-sheaves are stalkwise: one subspace per point, with the
 sections over U being exactly the families that hit the subspace at every
-point of U.  Quotients pick deterministic echelon complements so that
-projections are concrete matrices.
+point of U, and ordered stalkwise too: ``f <= g`` when each stalk of ``f``
+lies in that of ``g``.  Quotients pick deterministic echelon complements so
+that projections are concrete matrices.
 
 An explicitly presented presheaf is read through its germs: over each open
 U, the sections against the compatible families on U's largest minimal
@@ -207,6 +208,10 @@ class SubmoduleSheaf:
     def __eq__(self, other):
         return (isinstance(other, SubmoduleSheaf) and self.parent == other.parent
                 and self.stalks == other.stalks)
+
+    def __le__(self, other: "SubmoduleSheaf") -> bool:
+        return all(stalk.is_subspace_of(other.stalks[x])
+                   for x, stalk in self.stalks.items())
 
 
 def full_submodule(e: FreeModuleSheaf) -> SubmoduleSheaf:
@@ -632,12 +637,12 @@ def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
     proj: Dict[str, Matrix] = {}
     for x in e.space.points:
         by_stalk = f.stalks[x]
-        within_stalk = within.stalks[x] if within is not None else Subspace.full(field, n)
-        if within is not None and not by_stalk.is_subspace_of(within_stalk):
+        within_stalk = None if within is None else within.stalks[x]
+        if within_stalk is not None and not by_stalk.is_subspace_of(within_stalk):
             raise ParentMismatch("stalk at %r is not inside the enclosing stalk" % x)
         cplt = echelon_complement(by_stalk, within_stalk)
-        pad = echelon_complement(within_stalk)
-        rows = by_stalk.basis + cplt.basis + pad.basis
+        pad = () if within_stalk is None else echelon_complement(within_stalk).basis
+        rows = by_stalk.basis + cplt.basis + pad
         m = Matrix.from_rows(field, rows, cols=n)
         minv = inverse(m.transpose())
         if minv is None:

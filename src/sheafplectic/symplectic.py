@@ -353,10 +353,6 @@ def form_perp(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleSheaf:
     return annihilator(sm.form, f)
 
 
-def _inside(f: SubmoduleSheaf, g: SubmoduleSheaf) -> bool:
-    return all(f.stalks[x].is_subspace_of(g.stalks[x]) for x in f.stalks)
-
-
 def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
     """Isotropic, co-isotropic, symplectic and Lagrangian flags.
 
@@ -364,8 +360,6 @@ def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
     complement built by ``lagrangian_complement`` is attached as certificate.
     """
     perp = form_perp(sm, f)
-    isotropic = _inside(f, perp)
-    coisotropic = _inside(perp, f)
     symplectic_sub = True
     for x in sm.module.space.points:
         b = f.stalks[x].matrix()
@@ -373,10 +367,9 @@ def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
         if rank_of(restricted) != f.stalks[x].dim:
             symplectic_sub = False
             break
-    lagrangian = f.stalks == perp.stalks
-    complement = _isotropic_complement(sm, f) if lagrangian else None
-    return Classification(isotropic, coisotropic, symplectic_sub, lagrangian,
-                          complement)
+    lagrangian = f == perp
+    return Classification(f <= perp, perp <= f, symplectic_sub, lagrangian,
+                          _isotropic_complement(sm, f) if lagrangian else None)
 
 
 def lagrangian_complement(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleSheaf:
@@ -452,7 +445,7 @@ class ReducedModule:
     def coisotropic(self) -> bool:
         """Whether the sub-sheaf contains its orthogonal, so that the
         reduction is by the whole orthogonal (the classical case)."""
-        return _inside(self.perp, self.by)
+        return self.perp <= self.by
 
 
 def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
@@ -462,8 +455,6 @@ def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
     Co-isotropy is not required here; when it holds the denominator is the
     whole orthogonal, which is the classical reduced module.
     """
-    if f.parent != sm.module:
-        raise ParentMismatch("sub-sheaf lives in a different module")
     perp = form_perp(sm, f)
     core = SubmoduleSheaf(sm.module, f.stalks.map(
         lambda x, stalk: subspace_intersection(stalk, perp.stalks[x])))
@@ -509,7 +500,7 @@ def reduce_lagrangian(sm: SymplecticModule, f: SubmoduleSheaf,
     red = reduce(sm, f)
     if not red.coisotropic:
         raise NotCoisotropic("reduction needs a co-isotropic sub-sheaf")
-    if g.stalks != form_perp(sm, g).stalks:
+    if g != form_perp(sm, g):
         raise NotLagrangian("second argument must be Lagrangian")
     field = sm.module.field
     stalks = {}

@@ -2,8 +2,12 @@
 
 Nothing here reuses elimination: ranks come from counting span members or
 expanding minors, annihilators from filtering every section against the
-defining identity, gluing checks from enumerating all families.  That
-independence is the point; keep it that way.
+defining identity, gluing checks from enumerating all families.  The
+symplectic constructions are read off the same enumerations: the form's
+orthogonal is the annihilator under the form, the four classes and the
+reduced dimension are counted on enumerated members, and a Darboux
+decomposition is summed entry by entry.  That independence is the point;
+keep it that way.
 """
 
 from __future__ import annotations
@@ -227,3 +231,59 @@ def recompute_rank_via_minors(m: Matrix,
                 if _det_laplace(m, rows, cols):
                     return k
     return 0
+
+
+# ---------------------------------------------------------------------------
+# symplectic constructions, from their definitions
+
+
+@dataclass(frozen=True)
+class SymplecticFacts:
+    """A sub-sheaf F and its orthogonal F^w over one open, by enumeration."""
+
+    perp: frozenset                 # the sections of F^w, as value tuples
+    isotropic: bool                 # F inside F^w
+    coisotropic: bool               # F^w inside F
+    symplectic: bool                # F and F^w meet only in zero
+    lagrangian: bool                # F equal to F^w
+    reduced_dims: dict              # point -> log_p |F_x| / |F_x meet F^w_x|
+
+
+def _values(s: Section, pts) -> tuple:
+    return tuple(s.values[x] for x in pts)
+
+
+def enum_symplectic(form: PairingSheaf, f: SubmoduleSheaf, u: int,
+                    budget: EnumerationBudget = DEFAULT_BUDGET) -> SymplecticFacts:
+    """F^w over ``u`` as every section pairing to zero under the form with
+    all of F's (``enum_annihilator`` with the form as the pairing), and the
+    classes and reduced dimensions counted on the enumerated members."""
+    field = budget.check_field(form.field)
+    pts = f.space.member_points(u)
+    members = {_values(s, pts) for s in enum_submodule_sections(f, u, budget)}
+    perp = frozenset(_values(t, pts) for t in enum_annihilator(form, f, u, budget))
+    meet = members & perp
+    dims = {}
+    for i, x in enumerate(pts):
+        ratio = len({v[i] for v in members}) // len({v[i] for v in meet})
+        dims[x] = next(d for d in itertools.count() if field.p ** d >= ratio)
+    return SymplecticFacts(perp, members <= perp, perp <= members, len(meet) == 1,
+                           members == perp, dims)
+
+
+def wedge_sum_matches(form: PairingSheaf, pairs, u: int) -> bool:
+    """Whether the form's coefficients at every point of ``u`` are the field
+    sums, entry by entry, of a_k b_l - b_k a_l over the covector pairs
+    ``(a, b)``."""
+    field = form.field
+    for y in form.space.member_points(u):
+        gram = form.gram[y].entries
+        for k, row in enumerate(gram):
+            for l, entry in enumerate(row):
+                acc = field.zero
+                for a, b in pairs:
+                    a_y, b_y = a.values[y], b.values[y]
+                    acc = acc + a_y[k] * b_y[l] - b_y[k] * a_y[l]
+                if acc != entry:
+                    return False
+    return True

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace
+from sheafplectic.exactalg import AmbientMismatch, Matrix, PrimeField, QQ, Subspace
 from sheafplectic.sheaf import (
     ExplicitPresheaf,
     FreeModuleSheaf,
@@ -355,6 +356,40 @@ class TestSumIntersect:
         assert len(sections_basis(s, u)) == span_dims
         for sec in sections_basis(f, u) + sections_basis(g, u):
             assert s.contains_section(sec)
+
+
+class TestOrder:
+    """``<=`` on sub-sheaves is stalkwise inclusion, and ``==`` is ``<=``
+    both ways.  Random stalks are seldom nested, so the second operand is
+    also drawn as a sum or intersection with the first, or the first."""
+
+    @staticmethod
+    def pair(rng, field):
+        e = FreeModuleSheaf(rand_space(rng, 3), field, rng.randint(1, 3))
+        f, h = rand_stalks(e, rng), rand_stalks(e, rng)
+        g = rng.choice([h, sum_submodules([f, h]), intersect_submodules([f, h]),
+                        SubmoduleSheaf(e, dict(f.stalks))])
+        return (f, g) if rng.random() < 0.5 else (g, f)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_inclusion_is_stalkwise(self, field, rng):
+        f, g = self.pair(rng, field)
+        assert (f <= g) == all(f.stalks[x].is_subspace_of(g.stalks[x])
+                               for x in f.space.points)
+        assert (f <= g and g <= f) == (f == g)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @settings(max_examples=20, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_different_ranks_do_not_compare(self, field, rng):
+        space = rand_space(rng, 3)
+        n = rng.randint(1, 3)
+        f = rand_stalks(FreeModuleSheaf(space, field, n), rng)
+        g = rand_stalks(FreeModuleSheaf(space, field, n + 1), rng)
+        with pytest.raises(AmbientMismatch):
+            f <= g
 
 
 class TestQuotient:

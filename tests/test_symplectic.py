@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafplectic.exactalg import (
     Matrix,
@@ -19,6 +20,7 @@ from sheafplectic.sheaf import (
     Section,
     SubmoduleSheaf,
     full_submodule,
+    intersect_submodules,
     make_section,
     zero_submodule,
 )
@@ -29,6 +31,7 @@ from sheafplectic.suites import (
     rand_coisotropic_with_lagrangian,
     rand_rankwise_form,
     rand_space,
+    rand_stalks,
 )
 from sheafplectic.symplectic import (
     BadSeed,
@@ -437,6 +440,27 @@ class TestClassify:
             assert c.lagrangian == half
             if c.lagrangian:
                 assert c.isotropic_complement is not None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_classify_flags_are_the_definitions(field, rng):
+    """F isotropic, co-isotropic, symplectic or Lagrangian: F <= F^w,
+    F^w <= F, F meet F^w = 0 or F == F^w.  The sub-sheaves are random
+    stalks, a co-isotropic sub-sheaf, a Lagrangian, or the orthogonal of
+    one of these."""
+    e = FreeModuleSheaf(rand_space(rng, 3), field, 2 * rng.randint(1, 2))
+    sm = SymplecticModule(e, standard_form(e))
+    f = rng.choice([rand_stalks(e, rng),
+                    *rand_coisotropic_with_lagrangian(e, rng)])
+    if rng.random() < 0.5:
+        f = form_perp(sm, f)
+    perp = form_perp(sm, f)
+    c = classify(sm, f)
+    assert (c.isotropic, c.coisotropic, c.symplectic_sub, c.lagrangian) == (
+        f <= perp, perp <= f,
+        intersect_submodules([f, perp]) == zero_submodule(e), f == perp)
 
 
 class TestLagrangianComplement:
