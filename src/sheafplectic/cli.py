@@ -387,8 +387,7 @@ def _cmd_reduce(m: Manifest, args) -> Tuple[int, List[dict]]:
 
 
 def _cmd_check(m: Manifest, args) -> Tuple[int, List[dict]]:
-    from .suites import SUITES, run_suite
-    _named(SUITES, args.suite)
+    from .suites import run_suite
     records = run_suite(args.suite, m, args.seed_rng)
     out = []
     ok_all = True

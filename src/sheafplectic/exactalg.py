@@ -53,7 +53,7 @@ class AmbientMismatch(ValueError):
     """Operands live in different ambient spaces or different fields."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # the shared rational zero and one (a ``Fraction`` is immutable)
 _Q_ZERO = Fraction(0)
@@ -152,7 +152,7 @@ class RationalField:
         return Fraction(k)
 
     def parse(self, text: str) -> Fraction:
-        match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+        match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
         if match is None:
             raise ValueError("bad rational literal: %r" % (text,))
         num, den = match.groups()

@@ -216,8 +216,6 @@ def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
     of ``e``; its columns span exactly the stalks of the annihilator and
     kill the denominator.
     """
-    if f.parent != e:
-        raise ParentMismatch("sub-sheaf does not live in the given sheaf")
     quot, proj = quotient(e, f)
     perp = annihilator(canonical_pairing(e), f)
     mats = {}

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._records import record
 from .exactalg import (
+    AmbientMismatch,
     Field,
     Matrix,
     Subspace,
@@ -638,9 +639,11 @@ def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
     for x in e.space.points:
         by_stalk = f.stalks[x]
         within_stalk = None if within is None else within.stalks[x]
-        if within_stalk is not None and not by_stalk.is_subspace_of(within_stalk):
-            raise ParentMismatch("stalk at %r is not inside the enclosing stalk" % x)
-        cplt = echelon_complement(by_stalk, within_stalk)
+        try:
+            cplt = echelon_complement(by_stalk, within_stalk)
+        except AmbientMismatch:  # both stalks live in e: not inside
+            raise ParentMismatch("stalk at %r is not inside the enclosing "
+                                 "stalk" % x) from None
         pad = () if within_stalk is None else echelon_complement(within_stalk).basis
         rows = by_stalk.basis + cplt.basis + pad
         m = Matrix.from_rows(field, rows, cols=n)

@@ -348,8 +348,6 @@ class Classification:
 
 def form_perp(sm: SymplecticModule, f: SubmoduleSheaf) -> SubmoduleSheaf:
     """Stalkwise orthogonal of a sub-sheaf for the symplectic form."""
-    if f.parent != sm.module:
-        raise ParentMismatch("sub-sheaf lives in a different module")
     return annihilator(sm.form, f)
 
 

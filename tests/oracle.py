@@ -5,9 +5,10 @@ expanding minors, annihilators from filtering every section against the
 defining identity, gluing checks from enumerating all families.  The
 symplectic constructions are read off the same enumerations: the form's
 orthogonal is the annihilator under the form, the four classes and the
-reduced dimension are counted on enumerated members, and a Darboux
-decomposition is summed entry by entry.  That independence is the point;
-keep it that way.
+reduced dimension are counted on enumerated members, a reduced form is
+evaluated on every pair of members, a projected Lagrangian is the image of
+the enumerated meet, and a Darboux decomposition is summed entry by entry.
+That independence is the point; keep it that way.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _all_vectors(field: PrimeField, length: int):
     return itertools.product(field.elements(), repeat=length)
 
 
-def _span_members(field: PrimeField, sub: Subspace) -> List[tuple]:
+def span_members(field: PrimeField, sub: Subspace) -> List[tuple]:
     """Every vector of the span, as the set of linear combinations."""
     members = []
     seen = set()
@@ -73,20 +74,25 @@ def enum_submodule_sections(f: SubmoduleSheaf, u: int,
     field = budget.check_field(f.field)
     pts = f.space.member_points(u)
     budget.check_size(f.parent.rank, len(pts))
-    per_point = [_span_members(field, f.stalks[x]) for x in pts]
+    per_point = [span_members(field, f.stalks[x]) for x in pts]
     out = []
     for combo in itertools.product(*per_point):
         out.append(Section(u, dict(zip(pts, combo))))
     return out
 
 
-def _bilinear_value(gram_rows, left, right, field):
-    """s(x)^T G t(x) as a double sum over the gram entries."""
+def _dot(field: PrimeField, a, b):
+    """The field sum of the products a_i b_i, zero terms left out."""
     acc = field.zero
-    for a, row in zip(left, gram_rows):
-        for g, b in zip(row, right):
-            acc = acc + a * g * b
+    for s, t in zip(a, b):
+        if s and t:
+            acc = acc + s * t
     return acc
+
+
+def _covector(field: PrimeField, v, m: Matrix) -> list:
+    """v^T m, each entry a field sum over a column."""
+    return [_dot(field, v, col) for col in zip(*m.entries)]
 
 
 def enum_annihilator(p: PairingSheaf, g: SubmoduleSheaf, u: int,
@@ -100,15 +106,15 @@ def enum_annihilator(p: PairingSheaf, g: SubmoduleSheaf, u: int,
     pts = p.space.member_points(u)
     budget.check_size(max(p.right.stalk_dim(x) for x in pts) if pts else 0,
                       len(pts))
-    left_sections = enum_submodule_sections(g, u, budget)
+    # each left section as its covectors s(x)^T G_x
+    covectors = [[_covector(field, s.values[x], p.gram[x]) for x in pts]
+                 for s in enum_submodule_sections(g, u, budget)]
     out = []
     per_point = [_all_vectors(field, p.right.stalk_dim(x)) for x in pts]
     for combo in itertools.product(*[list(v) for v in per_point]):
-        t = Section(u, dict(zip(pts, combo)))
-        if all(not _bilinear_value(p.gram[x].entries, s.values[x], t.values[x],
-                                   field)
-               for s in left_sections for x in pts):
-            out.append(t)
+        if all(not _dot(field, c, v) for cov in covectors
+               for c, v in zip(cov, combo)):
+            out.append(Section(u, dict(zip(pts, combo))))
     return out
 
 
@@ -286,4 +292,52 @@ def wedge_sum_matches(form: PairingSheaf, pairs, u: int) -> bool:
                     acc = acc + a_y[k] * b_y[l] - b_y[k] * a_y[l]
                 if acc != entry:
                     return False
+    return True
+
+
+def _apply(field: PrimeField, m: Matrix, v) -> tuple:
+    """m v, each entry a field sum over a row."""
+    return tuple(_dot(field, row, v) for row in m.entries)
+
+
+def reduced_form_matches(form: PairingSheaf, f: SubmoduleSheaf, proj, reduced,
+                         budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:
+    """Whether (P u)^T R (P v) = u^T w v for every point x and all members
+    u, v of F_x, with P = ``proj[x]`` (ambient to quotient coordinates) and
+    R = ``reduced[x]``: the reduced form is the one w induces on F / (F meet
+    F^w)."""
+    field = budget.check_field(form.field)
+    budget.check_size(f.parent.rank, len(f.space.points))
+    for x in f.space.points:
+        members = span_members(field, f.stalks[x])
+        images = [_apply(field, proj[x], u) for u in members]
+        for u, pu in zip(members, images):
+            left = _covector(field, u, form.gram[x])
+            red_left = _covector(field, pu, reduced[x])
+            for v, pv in zip(members, images):
+                if _dot(field, red_left, pv) != _dot(field, left, v):
+                    return False
+    return True
+
+
+def projected_meet(f: SubmoduleSheaf, g: SubmoduleSheaf, proj,
+                   budget: EnumerationBudget = DEFAULT_BUDGET) -> dict:
+    """Per point x, the set {P w : w in G_x meet F_x} with P = ``proj[x]``,
+    the meet taken on enumerated members."""
+    field = budget.check_field(f.field)
+    budget.check_size(f.parent.rank, len(f.space.points))
+    out = {}
+    for x in f.space.points:
+        meet = set(span_members(field, f.stalks[x])) & \
+            set(span_members(field, g.stalks[x]))
+        out[x] = frozenset(_apply(field, proj[x], w) for w in meet)
+    return out
+
+
+def vanishes_on(gram: Matrix, vectors) -> bool:
+    """Whether v^T gram w = 0 for all v, w among ``vectors``."""
+    for v in vectors:
+        covector = _covector(gram.field, v, gram)
+        if any(_dot(gram.field, covector, w) for w in vectors):
+            return False
     return True

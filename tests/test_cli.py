@@ -4,6 +4,7 @@ import random
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,14 @@ from sheafplectic.cli import (
     parse_manifest,
     run_command,
 )
+from sheafplectic.exactalg import QQ
 from sheafplectic.pairing import Degenerate, NotInvariant
 
 REPO = Path(__file__).resolve().parents[1]
 MANIFESTS = REPO / "manifests"
+sys.path.insert(0, str(REPO / "tools"))
+
+import parity  # noqa: E402
 
 MINIMAL = json.dumps({
     "format": "sheafplectic-manifest/1",
@@ -146,6 +151,44 @@ class TestParseManifest:
         assert rec["error"] == "ValidationError"
         assert rec["witness"] == \
             "invalid manifest at field.Fp: modulus 1 is not prime"
+
+    @pytest.mark.parametrize("literal", ["3\n", "\u0661", "1/\u0662"],
+                             ids=["final-newline", "arabic-indic-one",
+                                  "arabic-indic-denominator"])
+    def test_rational_literal_is_ascii_digits_and_the_whole_string(
+            self, tmp_path, capsys, literal):
+        doc = json.loads(MINIMAL)
+        doc["form"]["p0"][0][1] = literal
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["-m", str(path), "validate"]) == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["error"], rec["witness"]) == (
+            "ParseError", "parse error at 0:0: form.p0[0][1]: "
+            "bad rational literal: %r" % literal)
+
+    def test_every_shipped_and_parity_manifest_literal_parses_as_a_fraction(
+            self, tmp_path):
+        # the parity calls' manifests: the benchmark's and a few generated
+        paths = {Path(m) for _, m, _ in parity.all_calls(str(tmp_path))}
+        paths.update(MANIFESTS.glob("*.json"))
+        literals = set()
+
+        def walk(value):
+            if isinstance(value, str):
+                literals.add(value)
+            elif isinstance(value, (list, dict)):
+                for item in (value.values() if isinstance(value, dict)
+                             else value):
+                    walk(item)
+
+        for path in paths:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if doc["field"] == "Q":
+                for section in ("form", "pairings", "submodules", "morphisms"):
+                    walk(doc.get(section))
+        assert len(literals) > 50
+        assert [s for s in literals if QQ.parse(s) != Fraction(s)] == []
 
     @pytest.mark.parametrize("value", [3, None])
     @pytest.mark.parametrize("key,what", [

@@ -25,21 +25,21 @@ REPO = Path(__file__).resolve().parents[1]
 CEILINGS = {
     ("point_rank2", "annihilator-theorem"): 367,
     ("point_rank2", "completeness"): 97,
-    ("point_rank2", "darboux"): 29,
+    ("point_rank2", "darboux"): 23,
     ("point_rank2", "hom-exactness"): 42,
-    ("point_rank2", "reduction"): 62,
+    ("point_rank2", "reduction"): 57,
     ("point_rank2", "transpose"): 50,
     ("discrete_f3", "annihilator-theorem"): 513,
     ("discrete_f3", "completeness"): 182,
-    ("discrete_f3", "darboux"): 62,
+    ("discrete_f3", "darboux"): 48,
     ("discrete_f3", "hom-exactness"): 72,
-    ("discrete_f3", "reduction"): 114,
+    ("discrete_f3", "reduction"): 104,
     ("discrete_f3", "transpose"): 98,
     ("sierpinski_rank4", "annihilator-theorem"): 488,
     ("sierpinski_rank4", "completeness"): 156,
-    ("sierpinski_rank4", "darboux"): 58,
+    ("sierpinski_rank4", "darboux"): 44,
     ("sierpinski_rank4", "hom-exactness"): 84,
-    ("sierpinski_rank4", "reduction"): 124,
+    ("sierpinski_rank4", "reduction"): 114,
     ("sierpinski_rank4", "transpose"): 88,
 }
 
