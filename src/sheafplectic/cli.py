@@ -121,6 +121,9 @@ def parse_manifest(text: str) -> Manifest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg)
+    except (RecursionError, ValueError) as exc:
+        # nested past the decoder's recursion, or an int past 4,300 digits
+        raise ParseError(0, 0, str(exc))
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
     allowed = {"format", "space", "field", "rank", "form", "pairings",
@@ -142,8 +145,9 @@ def parse_manifest(text: str) -> Manifest:
         raise ValidationError("space.points", "%d points exceed the cap of %d"
                               % (len(points), MAX_POINTS))
     opens = spc["opens"]
-    if not isinstance(opens, list) or \
-            not all(isinstance(o, list) for o in opens):
+    if not isinstance(opens, list) or not all(
+            isinstance(o, list) and all(isinstance(p, str) for p in o)
+            for o in opens):
         raise ValidationError("space.opens", "must be a list of point lists")
     try:
         space = FiniteSpace(points, opens)
@@ -480,7 +484,7 @@ def _report(args, started: float) -> Tuple[int, str]:
     try:
         with open(args.manifest, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return 3, _outcome(args.command, "fail", "InputError", str(exc))
     try:
         manifest = parse_manifest(text)

@@ -566,7 +566,7 @@ def coordinates(sub: Subspace, vectors: Sequence[Sequence[Scalar]]) -> Optional[
     for v in vectors:
         if len(v) != n:
             raise AmbientMismatch("vector length %d != ambient %d" % (len(v), n))
-        ints, dv = _ints(field, v)
+        ints, _ = _ints(field, v)
         rest = [den * a for a in ints]
         for j, (row, d) in zip(pivots, basis):
             c = ints[j] * (den // d)
@@ -574,7 +574,7 @@ def coordinates(sub: Subspace, vectors: Sequence[Sequence[Scalar]]) -> Optional[
                 rest = [a - c * b for a, b in zip(rest, row)]
         if any(a % p for a in rest) if p else any(rest):
             return None
-        cols.append(_scalars(field, [ints[j] for j in pivots], dv))
+        cols.append([v[j] for j in pivots])
     return Matrix.from_rows(field, cols, cols=sub.dim).transpose()
 
 

@@ -36,7 +36,6 @@ from .sheaf import (
     sum_submodules,
 )
 from .pairing import (
-    Degenerate,
     NotInvariant,
     PairingSheaf,
     annihilator,
@@ -239,12 +238,13 @@ DRAWS = 5  # random draws per suite and source; completeness takes one fewer
 
 def suite_annihilator_theorem(ctx, rng: random.Random) -> List[dict]:
     """Dimension formula, double orthogonal, De Morgan laws, inclusion
-    reversal, direct-sum splitting, induced duality and induced transposes,
-    for every nondegenerate pairing available."""
+    reversal, direct-sum splitting and induced transposes, for every
+    nondegenerate pairing available.  Induced duality has no record:
+    ``induced_pairing``'s guard checks it and is exit 4 if it trips."""
     e = FreeModuleSheaf(ctx.space, ctx.field, ctx.rank)
     out = []
     for src_name, p in _pairing_sources(ctx, "annihilator-theorem", out):
-        ok = {k: True for k in "abcdefgh"}
+        ok = {k: True for k in "abcdefh"}
         for _ in range(DRAWS):
             g = rand_stalks(e, rng)
             h = rand_stalks(e, rng)
@@ -283,14 +283,10 @@ def suite_annihilator_theorem(ctx, rng: random.Random) -> List[dict]:
                     ok["f"] = False
             endo = rand_invariant_endo(e, g, rng)
             try:
-                # a Degenerate comes from the induced pairing it builds and
-                # checks, a NotInvariant from the endomorphism
                 induced_endomorphism(p, endo, g)
-            except Degenerate:
-                ok["g"] = False
             except NotInvariant:
                 ok["h"] = False
-        for part in "abcdefgh":
+        for part in "abcdefh":
             out.append(_record("annihilator-theorem/%s/%s" % (src_name, part),
                                ok[part]))
     return out
@@ -465,8 +461,6 @@ def suite_reduction(ctx, rng: random.Random) -> List[dict]:
         ok = all(red.reduced_dim(x) == f.stalks[x].dim - red.perp.stalks[x].dim
                  for x in ctx.space.points)
         out.append(_record("reduction/random-%d" % k, ok))
-        # reduce_lagrangian's guard has proven the image Lagrangian
-        out.append(_record("reduction/lagrangian-%d" % k, True))
     return out
 
 

@@ -366,7 +366,8 @@ def classify(sm: SymplecticModule, f: SubmoduleSheaf) -> Classification:
             symplectic_sub = False
             break
     lagrangian = f == perp
-    return Classification(f <= perp, perp <= f, symplectic_sub, lagrangian,
+    return Classification(lagrangian or f <= perp, lagrangian or perp <= f,
+                          symplectic_sub, lagrangian,
                           _isotropic_complement(sm, f) if lagrangian else None)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafplectic import pairing, suites
+from sheafplectic import cli, pairing, suites
 from sheafplectic.cli import (
     MAX_MODULUS,
     Manifest,
@@ -169,8 +169,10 @@ class TestParseManifest:
 
     def test_every_shipped_and_parity_manifest_literal_parses_as_a_fraction(
             self, tmp_path):
-        # the parity calls' manifests: the benchmark's and a few generated
-        paths = {Path(m) for _, m, _ in parity.all_calls(str(tmp_path))}
+        # the parity calls' valid manifests: the benchmark's and a few
+        # generated
+        paths = {Path(m) for _, m, _ in parity.all_calls(str(tmp_path))
+                 if Path(m).stem not in parity.MALFORMED}
         paths.update(MANIFESTS.glob("*.json"))
         literals = set()
 
@@ -320,7 +322,6 @@ class TestSuiteErrors:
             suites.suite_annihilator_theorem(m, random.Random(7))
 
     @pytest.mark.parametrize("name,part,error", [
-        ("induced_pairing", "g", Degenerate("pairing is degenerate at 'a'")),
         ("induced_endomorphism", "h", NotInvariant("a", ()))])
     def test_mathematical_failure_is_a_failing_record(self, monkeypatch,
                                                       name, part, error):
@@ -332,6 +333,17 @@ class TestSuiteErrors:
         recs = suites.suite_annihilator_theorem(m, random.Random(7))
         failed = [r["check"] for r in recs if not r["ok"]]
         assert failed and all(c.endswith("/" + part) for c in failed)
+
+    def test_a_degenerate_induced_pairing_escapes(self, monkeypatch):
+        # every source pairing is nondegenerate, so induced duality is
+        # ``induced_pairing``'s to enforce and the suite keeps no record of it
+        def failing(*args):
+            raise Degenerate("pairing is degenerate at 'a'")
+
+        monkeypatch.setattr(pairing, "induced_pairing", failing)
+        m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
+        with pytest.raises(Degenerate, match="degenerate at 'a'"):
+            suites.suite_annihilator_theorem(m, random.Random(7))
 
 
 class TestInternalErrors:
@@ -515,9 +527,16 @@ class TestValidatorPaths:
         (_edit("morphisms", {"S": {"p0": [["1", "0"]], "p1": [["1", "0"],
                                                               ["0", "1"]]}}),
          "morphisms.S.p1", "row count differs between points"),
+        (_edit("space.opens", [[], ["p0"], [["p0"]]]), "space.opens",
+         "must be a list of point lists"),
+        (_edit("space.opens", [[], ["p0"], [{"x": 1}]]), "space.opens",
+         "must be a list of point lists"),
+        (_edit("space.opens", [[], ["p0", 1, None]]), "space.opens",
+         "must be a list of point lists"),
     ], ids=["top-level", "space-keys", "points", "opens", "unknown-point",
             "duplicate-point", "open-cap", "field", "rank", "point-map",
-            "rows", "row-length", "stalk", "morphism-height"])
+            "rows", "row-length", "stalk", "morphism-height",
+            "opens-list-member", "opens-map-member", "opens-non-string"])
     def test_refused(self, edit, path, message):
         doc = json.loads(MINIMAL)
         if path.startswith("morphisms"):
@@ -620,3 +639,92 @@ class TestClosedStdout:
         assert proc.wait() == 4
         assert "Traceback" not in err
         assert [json.loads(line) for line in err.splitlines()] == [CLOSED_RECORD]
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON document, the root's included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced_text(doc, path, value) -> str:
+    """The JSON text of ``doc`` with ``value`` at ``path``; ``doc`` is
+    restored before returning."""
+    if not path:
+        return json.dumps(value)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    kept, node[path[-1]] = node[path[-1]], value
+    try:
+        return json.dumps(doc)
+    finally:
+        node[path[-1]] = kept
+
+
+class TestMalformedInput:
+    """However malformed a manifest is, ``validate`` refuses it with exit 3,
+    or accepts it with exit 0, in one JSON line: never an internal error.
+    The byte-level cases are ``parity.MALFORMED``'s."""
+
+    def validate(self, capsys, path):
+        code = main(["-m", str(path), "validate"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return code, json.loads(lines[0])
+
+    @pytest.mark.parametrize("name, error, witness", [
+        ("utf16", "InputError",
+         "'utf-8' codec can't decode byte 0xff in position 0"),
+        ("deep", "ParseError",
+         "parse error at 0:0: maximum recursion depth exceeded"),
+        ("long-integer", "ParseError",
+         "parse error at 0:0: Exceeds the limit (4300 digits)"),
+        ("opens-members", "ValidationError",
+         "invalid manifest at space.opens: must be a list of point lists"),
+    ], ids=["utf16", "deep", "long-integer", "opens-members"])
+    def test_refused_with_one_record(self, capsys, tmp_path, name, error,
+                                     witness):
+        path = tmp_path / "m.json"
+        path.write_bytes(parity.MALFORMED[name])
+        code, rec = self.validate(capsys, path)
+        assert code == 3
+        assert (rec["command"], rec["verdict"], rec["error"]) == \
+            ("validate", "fail", error)
+        assert rec["witness"].startswith(witness)
+
+    def test_a_utf8_byte_order_mark_stays_refused(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+        code, rec = self.validate(capsys, path)
+        assert code == 3
+        assert (rec["error"], rec["witness"]) == \
+            ("ParseError", "parse error at 1:1: Unexpected UTF-8 BOM "
+             "(decode using utf-8-sig)")
+
+    def test_no_mutant_reaches_an_internal_error(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # each value at each path of each shipped manifest; json cannot
+        # write an int past 4,300 digits, so that one goes in as text.
+        # One parser serves every call: building it is most of a call's time
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        rng = random.Random(20)
+        digits = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(4999))
+        path = tmp_path / "m.json"
+        for shipped in sorted(MANIFESTS.glob("*.json")):
+            doc = json.loads(shipped.read_text(encoding="utf-8"))
+            for at in _json_paths(doc):
+                nested = rng.choice(["p0", 1, None])
+                for _ in range(rng.randint(2, 6)):
+                    nested = [nested]
+                for value in (None, [], {}, [[]], "x", nested, "<digits>"):
+                    text = _replaced_text(doc, at, value)
+                    path.write_text(text.replace('"<digits>"', digits),
+                                    encoding="utf-8")
+                    code, rec = self.validate(capsys, path)
+                    assert code in (0, 3), (shipped.name, at, value, rec)

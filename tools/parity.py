@@ -13,6 +13,8 @@ The calls are:
   from the plans in ``perfbench/workloads.py``;
 - every suite at ``--seed-rng`` 1, 7 and 8 on the shipped manifests and on
   a manifest with no points;
+- ``validate`` on each manifest of ``MALFORMED``, which the validator
+  refuses with exit 3;
 - every suite at ``--seed-rng`` 7 on generated rank-8 manifests over Q and
   F_10007, on the 6-point discrete space and the 12-point chain.
 
@@ -46,6 +48,22 @@ from sheafplectic import cli  # noqa: E402
 ZERO_POINT = {"format": "sheafplectic-manifest/1",
               "space": {"points": [], "opens": [[]]}, "field": "Q", "rank": 2}
 
+# name -> bytes of a manifest the validator refuses with exit 3, one for
+# each refusal that needs its own handling: not UTF-8, nested past the
+# decoder's recursion, an integer literal past Python's 4,300 digits, and
+# open sets whose members are not point names
+MALFORMED = {
+    "utf16": b"\xff\xfe" + json.dumps(ZERO_POINT).encode("utf-16-le"),
+    "deep": b"[" * 200000,
+    "long-integer": json.dumps(dict(
+        ZERO_POINT, space={"points": ["p"], "opens": [[], ["p"]]},
+        field={"Fp": 10007}, rank=1, pairings={"one": {"p": [[0]]}}),
+    ).replace("[[0]]", "[[%s]]" % ("9" * 5000)).encode("utf-8"),
+    "opens-members": json.dumps(dict(
+        ZERO_POINT, space={"points": ["a"], "opens": [[], ["a", 1, None]]}),
+    ).encode("utf-8"),
+}
+
 
 def _suites(path, seed_rngs):
     return [(path, ["check", "--suite", suite, "--seed-rng", str(s)])
@@ -76,6 +94,10 @@ def all_calls(workdir):
     zero = workloads._write(workdir, "zero_point", gen.Built(ZERO_POINT, {}))
     for path in workloads.SHIPPED + (zero,):
         calls += [("", p, argv) for p, argv in _suites(path, [1, 7, 8])]
+    for name, data in MALFORMED.items():
+        path = os.path.join(workdir, name + ".json")
+        Path(path).write_bytes(data)
+        calls.append(("", path, ["validate"]))
     for space_name, space in (("discrete6", gen.discrete_space(6)),
                               ("chain12", gen.chain_space(12))):
         for field in ("Q", "F"):
