@@ -22,8 +22,7 @@ _EXPORTS = {
     "pairing": ("Degenerate", "NotInvariant", "annihilator",
                 "canonical_pairing", "check_hom_exactness",
                 "induced_endomorphism", "induced_pairing", "is_nondegenerate",
-                "quotient_dual_iso", "theta", "transpose_endomorphism",
-                "transpose_morphism"),
+                "quotient_dual_iso", "theta", "transpose_endomorphism"),
     "symplectic": ("BadSeed", "DarbouxResult", "NoAdmissibleNeighborhood",
                    "NotCoisotropic", "NotLagrangian", "RankNotConstant",
                    "ReducedModule", "SymplecticModule", "ZeroFormAt",

@@ -121,9 +121,11 @@ def parse_manifest(text: str) -> Manifest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg)
-    except (RecursionError, ValueError) as exc:
-        # nested past the decoder's recursion, or an int past 4,300 digits
+    except RecursionError as exc:
         raise ParseError(0, 0, str(exc))
+    except ValueError:  # an int past the digit limit; Python's message varies
+        raise ParseError(0, 0, "integer literal exceeds the limit of %d "
+                         "digits" % sys.get_int_max_str_digits())
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
     allowed = {"format", "space", "field", "rank", "form", "pairings",

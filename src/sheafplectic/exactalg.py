@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -164,7 +165,11 @@ class RationalField:
         return abs(a)
 
     def format(self, a: Fraction) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past the int-to-str digit limit, which Decimal lacks
+            num = str(Decimal(a.numerator))
+            return num if a.denominator == 1 else "%s/%s" % (num, Decimal(a.denominator))
 
 
 @record(frozen=True)
@@ -319,7 +324,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        rows = tuple(tuple(field.one if i == j else field.zero for j in range(n))
+        one, zero = field.one, field.zero
+        rows = tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i)
                      for i in range(n))
         return cls(field, n, n, rows)
 
@@ -604,8 +610,9 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 
 def orthogonal_complement(s: Subspace, gram: Matrix) -> Subspace:
-    """``{w : v^T gram w = 0 for every basis vector v of s}``."""
-    if gram.rows != s.ambient_dim or gram.cols != s.ambient_dim:
+    """``{w : v^T gram w = 0 for every basis vector v of s}``, a subspace
+    of the space of ``gram``'s columns."""
+    if gram.rows != s.ambient_dim:
         raise AmbientMismatch("gram is %dx%d, ambient is %d"
                               % (gram.rows, gram.cols, s.ambient_dim))
     constraints = s.matrix() @ gram

@@ -117,11 +117,6 @@ def left_annihilator(p: PairingSheaf, h: SubmoduleSheaf) -> SubmoduleSheaf:
     return annihilator(p.swapped(), h)
 
 
-def transpose_morphism(m: MorphismSheaf) -> MorphismSheaf:
-    """Precomposition on functionals; pointwise the matrix transpose."""
-    return m.transpose()
-
-
 def transpose_endomorphism(p: PairingSheaf, s: MorphismSheaf) -> MorphismSheaf:
     """The unique partner T with gram T = S^T gram at every point."""
     mats = {}

@@ -387,11 +387,9 @@ class ExplicitPresheaf:
                         raise ValueError("restriction (%d, %d) has shape %dx%d, "
                                          "expected %dx%d" % (u, v, m.rows, m.cols,
                                                              self.dims[v], self.dims[u]))
-        one, zero = field.one, field.zero
         for u in range(len(space.opens)):
-            # row i must be the i-th unit row: one at i, zero elsewhere
-            if any(row[i] != one or row.count(zero) != len(row) - 1
-                   for i, row in enumerate(self.restrictions[(u, u)].entries)):
+            if self.restrictions[(u, u)].entries != \
+                    Matrix.identity(field, self.dims[u]).entries:
                 raise ValueError("restriction (%d, %d) is not the identity" % (u, u))
 
     def functoriality_failures(self) -> List[Tuple[int, int, int]]:

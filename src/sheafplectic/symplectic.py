@@ -46,7 +46,7 @@ from .sheaf import (
     TwoFormSheaf,
     quotient,
 )
-from .pairing import annihilator
+from .pairing import annihilator, is_nondegenerate
 from .space import FiniteSpace, UnknownPoint
 
 
@@ -314,9 +314,9 @@ class SymplecticModule:
             raise ParentMismatch("form lives on a different module")
         if self.module.rank % 2 != 0:
             raise ValueError("symplectic rank must be even")
-        for x in self.module.space.points:
-            if rank_of(self.form.coeff[x]) != self.module.rank:
-                raise ValueError("form is degenerate at point %r" % x)
+        check = is_nondegenerate(self.form)
+        if not check:
+            raise ValueError("form is degenerate at point %r" % check.point)
 
 
 def standard_block(field: Field, n: int, pairs: int) -> Matrix:

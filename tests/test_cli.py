@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from sheafplectic.cli import (
 )
 from sheafplectic.exactalg import QQ
 from sheafplectic.pairing import Degenerate, NotInvariant
+from sheafplectic.sheaf import MorphismSheaf
 
 REPO = Path(__file__).resolve().parents[1]
 MANIFESTS = REPO / "manifests"
@@ -289,6 +291,34 @@ class TestRunCommand:
         assert recs[-1]["verdict"] == "pass"
 
 
+class TestLongAnswers:
+    def test_answers_past_the_digit_limit_are_written_in_full(self, capsys,
+                                                              tmp_path):
+        # 3,000-digit literals give answers with integers past the
+        # interpreter's 4,300-digit limit on str(int)
+        rng = random.Random(42)
+
+        def lit():
+            return "%d" % rng.randrange(10 ** 2999, 10 ** 3000)
+
+        upper = {(i, j): lit() for i in range(4) for j in range(i + 1, 4)}
+        form = [["0" if i == j else upper[i, j] if i < j else "-" + upper[j, i]
+                 for j in range(4)] for i in range(4)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(
+            json.loads(MINIMAL), rank=4, form={"p0": form},
+            pairings={"phi": {"p0": [[lit() for _ in range(4)]
+                                    for _ in range(4)]}},
+            submodules={"F": {"p0": [[lit() for _ in range(4)]
+                                    for _ in range(3)]}})))
+        for argv in (["annihilator", "--pairing", "phi", "--sub", "F"],
+                     ["darboux", "--at", "p0"], ["reduce", "--sub", "F"]):
+            code = main(["-m", str(path), *argv])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert max(map(len, re.findall("[0-9]+", out))) > 4300
+
+
 class TestSuiteNames:
     def test_cli_names_every_suite(self):
         assert SUITE_NAMES == tuple(sorted(suites.SUITES))
@@ -388,7 +418,7 @@ class TestSuiteFailures:
     def test_transpose_suite_fails_without_transposes(self, monkeypatch, capsys):
         # with the untransposed family in place of the transpose, exactly the
         # checks that tell a map from its transpose fail
-        monkeypatch.setattr(suites, "transpose_morphism", lambda m: m)
+        monkeypatch.setattr(MorphismSheaf, "transpose", lambda m: m)
         code = main(["-m", str(MANIFESTS / "discrete_f3.json"), "check",
                      "--suite", "transpose", "--seed-rng", "7"])
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -682,7 +712,8 @@ class TestMalformedInput:
         ("deep", "ParseError",
          "parse error at 0:0: maximum recursion depth exceeded"),
         ("long-integer", "ParseError",
-         "parse error at 0:0: Exceeds the limit (4300 digits)"),
+         "parse error at 0:0: integer literal exceeds the limit of 4300 "
+         "digits"),
         ("opens-members", "ValidationError",
          "invalid manifest at space.opens: must be a list of point lists"),
     ], ids=["utf16", "deep", "long-integer", "opens-members"])

@@ -52,6 +52,13 @@ class TestScalars:
         assert (f3.from_int(2) * f3.from_int(2)).value == 1
         assert (f3.from_int(2) / f3.from_int(2)).value == 1
 
+    def test_rational_format_writes_long_integers_in_full(self):
+        # past the interpreter's 4,300-digit limit on str(int); the
+        # expected text is built without str(int)
+        assert QQ.format(F(10 ** 5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+        assert QQ.format(F(-10 ** 5000)) == "-1" + "0" * 5000
+        assert QQ.format(F(-7, 10 ** 5000)) == "-7/1" + "0" * 5000
+
     def test_prime_field_element_prints_its_residue(self):
         f7 = PrimeField(7)
         assert str(f7.from_int(-1)) == "6"

@@ -448,39 +448,54 @@ def _checks(prefix, sources, parts):
 
 
 SIERPINSKI4 = parse_manifest((MANIFESTS / "sierpinski_rank4.json").read_text())
+# two points and no open that separates them: an open's dimensions sum over
+# both points, so only the per-point count sees stalks swapped between them
+INDISCRETE2 = _ctx(["a", "b"], [[], ["a", "b"]], 2)
+REAL_ANNIHILATOR = suites.annihilator
 REAL_REDUCE_LAGRANGIAN = suites.reduce_lagrangian
 
 
-@pytest.mark.parametrize("suite, name, wrong, failed", [
-    pytest.param(suites.suite_annihilator_theorem, "annihilator",
-                 lambda p, g: zero_submodule(p.right),
+def _swapped_annihilator(p, g):
+    perp = REAL_ANNIHILATOR(p, g).stalks
+    return SubmoduleSheaf(p.right, {"a": perp["b"], "b": perp["a"]})
+
+
+@pytest.mark.parametrize("suite, ctx, owner, name, wrong, failed", [
+    pytest.param(suites.suite_annihilator_theorem, SIERPINSKI4, suites,
+                 "annihilator", lambda p, g: zero_submodule(p.right),
                  _checks("annihilator-theorem", ["pairing:phi", "form"], "abef"),
                  id="annihilator"),
-    pytest.param(suites.suite_annihilator_theorem, "sum_submodules",
-                 lambda fs: zero_submodule(fs[0].parent),
+    pytest.param(suites.suite_annihilator_theorem, INDISCRETE2, suites,
+                 "annihilator", _swapped_annihilator,
+                 _checks("annihilator-theorem", ["canonical"], "ab"),
+                 id="swapped-stalks"),
+    pytest.param(suites.suite_annihilator_theorem, SIERPINSKI4, suites,
+                 "sum_submodules", lambda fs: zero_submodule(fs[0].parent),
                  _checks("annihilator-theorem", ["pairing:phi", "form"], "cde"),
                  id="sum"),
-    pytest.param(suites.suite_transpose, "transpose_morphism",
-                 lambda m: m.compose(m),
+    pytest.param(suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
+                 "transpose", lambda m: m.compose(m),
                  ["transpose/additivity", "transpose/contravariance",
                   "transpose/kernel-is-image-annihilator"], id="square"),
-    pytest.param(suites.suite_transpose, "transpose_morphism", lambda m: m + m,
+    pytest.param(suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
+                 "transpose", lambda m: m + m,
                  ["transpose/identity", "transpose/contravariance",
                   "transpose/inverse", "transpose/kernel-is-image-annihilator"],
                  id="double"),
-    pytest.param(suites.suite_transpose, "transpose_endomorphism",
-                 lambda p, s: s, ["transpose/endomorphism-identity"],
-                 id="endomorphism"),
-    pytest.param(suites.suite_reduction, "reduce_lagrangian",
+    pytest.param(suites.suite_transpose, SIERPINSKI4, suites,
+                 "transpose_endomorphism", lambda p, s: s,
+                 ["transpose/endomorphism-identity"], id="endomorphism"),
+    pytest.param(suites.suite_reduction, SIERPINSKI4, suites,
+                 "reduce_lagrangian",
                  lambda sm, f, g: REAL_REDUCE_LAGRANGIAN(
                      sm, full_submodule(sm.module), g),
                  ["reduction/random-%d" % k for k in range(1, 5)],
                  id="reduce-by-everything"),
 ])
-def test_a_wrong_kernel_fails_exactly_these_checks(monkeypatch, suite, name,
-                                                   wrong, failed):
-    monkeypatch.setattr(suites, name, wrong)
-    assert _failing(suite, SIERPINSKI4) == failed
+def test_a_wrong_kernel_fails_exactly_these_checks(monkeypatch, suite, ctx,
+                                                   owner, name, wrong, failed):
+    monkeypatch.setattr(owner, name, wrong)
+    assert _failing(suite, ctx) == failed
 
 
 DISCRETE = (["a", "b"], [[], ["a"], ["b"], ["a", "b"]])

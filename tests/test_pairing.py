@@ -27,7 +27,6 @@ from sheafplectic.pairing import (
     quotient_dual_iso,
     theta,
     transpose_endomorphism,
-    transpose_morphism,
 )
 from sheafplectic.sheaf import (
     FreeModuleSheaf,
@@ -242,12 +241,12 @@ class TestTranspose:
     def test_identity(self):
         e = FreeModuleSheaf(ONE_POINT, QQ, 3)
         m = MorphismSheaf.identity_on(e)
-        assert transpose_morphism(m).mats["p"].entries == m.mats["p"].entries
+        assert m.transpose().mats["p"].entries == m.mats["p"].entries
 
     def test_kernel_is_image_perp(self):
         e = FreeModuleSheaf(ONE_POINT, QQ, 2)
         m = MorphismSheaf(e, e, {"p": qmat([[1, 0], [0, 0]])})
-        tm = transpose_morphism(m)
+        tm = m.transpose()
         from sheafplectic.exactalg import kernel_basis
         ker = kernel_basis(tm.mats["p"])
         image = Subspace.span(QQ, 2, [m.mats["p"].mat_vec(v)
@@ -262,18 +261,18 @@ class TestTranspose:
         for _ in range(10):
             a = MorphismSheaf(e, e, {"p": rand_qmat(rng, 3, 3)})
             b = MorphismSheaf(e, e, {"p": rand_qmat(rng, 3, 3)})
-            assert transpose_morphism(a + b).mats["p"].entries == \
-                (transpose_morphism(a) + transpose_morphism(b)).mats["p"].entries
-            lhs = transpose_morphism(b.compose(a))
-            rhs = transpose_morphism(a).compose(transpose_morphism(b))
+            assert (a + b).transpose().mats["p"].entries == \
+                (a.transpose() + b.transpose()).mats["p"].entries
+            lhs = b.compose(a).transpose()
+            rhs = a.transpose().compose(b.transpose())
             assert lhs.mats["p"].entries == rhs.mats["p"].entries
 
     def test_inverse_of_transpose(self):
         rng = random.Random(7)
         e = FreeModuleSheaf(ONE_POINT, QQ, 3)
         m = MorphismSheaf(e, e, {"p": rand_invertible(rng, 3)})
-        lhs = transpose_morphism(m).inverse()
-        rhs = transpose_morphism(m.inverse())
+        lhs = m.transpose().inverse()
+        rhs = m.inverse().transpose()
         assert lhs.mats["p"].entries == rhs.mats["p"].entries
 
 
