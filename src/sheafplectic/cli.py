@@ -21,7 +21,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ._records import record
-from .exactalg import Matrix, PrimeField, QQ, Subspace
+from .exactalg import Matrix, PrimeField, QQ, Subspace, long_literal
 from .space import FiniteSpace, UnknownPoint, validate_topology
 from .sheaf import (
     FreeModuleSheaf,
@@ -123,9 +123,8 @@ def parse_manifest(text: str) -> Manifest:
         raise ParseError(exc.lineno, exc.colno, exc.msg)
     except RecursionError as exc:
         raise ParseError(0, 0, str(exc))
-    except ValueError:  # an int past the digit limit; Python's message varies
-        raise ParseError(0, 0, "integer literal exceeds the limit of %d "
-                         "digits" % sys.get_int_max_str_digits())
+    except ValueError:  # an int past the digit limit
+        raise ParseError(0, 0, str(long_literal()))
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
     allowed = {"format", "space", "field", "rank", "form", "pairings",

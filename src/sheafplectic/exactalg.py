@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -59,6 +60,12 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # the shared rational zero and one (a ``Fraction`` is immutable)
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
+
+
+def long_literal() -> ValueError:
+    """Refuse an int literal past the digit limit alike on every Python."""
+    return ValueError("integer literal exceeds the limit of %d digits"
+                      % sys.get_int_max_str_digits())
 
 
 def _is_prime(n: int) -> bool:
@@ -156,20 +163,19 @@ class RationalField:
         match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
         if match is None:
             raise ValueError("bad rational literal: %r" % (text,))
-        num, den = match.groups()
-        if den is not None and not int(den):
+        try:
+            return Fraction(*(int(g or 1) for g in match.groups()))
+        except ValueError:  # past the int-from-str digit limit
+            raise long_literal() from None
+        except ZeroDivisionError:
             raise ValueError("zero denominator in rational literal: %r" % (text,))
-        return Fraction(int(num), int(den or 1))
 
     def abs(self, a: Fraction) -> Fraction:
         return abs(a)
 
     def format(self, a: Fraction) -> str:
-        try:
-            return str(a)
-        except ValueError:  # past the int-to-str digit limit, which Decimal lacks
-            num = str(Decimal(a.numerator))
-            return num if a.denominator == 1 else "%s/%s" % (num, Decimal(a.denominator))
+        num = str(Decimal(a.numerator))  # str(int) stops at the digit limit
+        return num if a.denominator == 1 else "%s/%s" % (num, Decimal(a.denominator))
 
 
 @record(frozen=True)

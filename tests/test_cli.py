@@ -727,6 +727,20 @@ class TestMalformedInput:
             ("validate", "fail", error)
         assert rec["witness"].startswith(witness)
 
+    def test_a_long_rational_literal_has_the_same_witness(self, capsys,
+                                                          tmp_path):
+        # a string literal past the digit limit, refused in the words of
+        # the JSON integer case rather than the interpreter's own
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(
+            parity.ZERO_POINT, space={"points": ["p"], "opens": [[], ["p"]]},
+            rank=1, pairings={"one": {"p": [["1/" + "9" * 5000]]}})))
+        code, rec = self.validate(capsys, path)
+        assert code == 3
+        assert (rec["error"], rec["witness"]) == \
+            ("ParseError", "parse error at 0:0: pairings.one.p[0][0]: "
+             "integer literal exceeds the limit of 4300 digits")
+
     def test_a_utf8_byte_order_mark_stays_refused(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))

@@ -57,7 +57,7 @@ from sheafplectic.space import FiniteSpace  # noqa: E402
 from sweep import (  # noqa: E402
     FIELDS,
     MAX_POINTS,
-    _Cache,
+    members,
     subspaces,
     topologies,
 )
@@ -80,14 +80,12 @@ def _transposed(p):
         for x, g in p.gram.items()})
 
 
-class _Oracle(_Cache):
-    """The symplectic sweep's cache of members per subspace, plus the
-    oracle's radicals per gram and annihilator sections per list of (gram,
-    stalk) pairs on an open's points, which do not depend on the topology;
-    each is enumerated once."""
+class _Oracle:
+    """The oracle's radicals per gram and annihilator sections per list of
+    (gram, stalk) pairs on an open's points, which do not depend on the
+    topology; each is enumerated once."""
 
     def __init__(self):
-        super().__init__()
         self._radicals, self._sections = {}, {}
 
     def radicals(self, field, gram):
@@ -160,7 +158,7 @@ def _annihilator_disagreements(p, which, main, stalk_families, cache, counts):
             found.append("%s: %s: %s" % (which, type(exc).__name__, exc))
             continue
         for u in range(len(space.opens)):
-            mine = set(itertools.product(*[cache.members(got.stalks[x])
+            mine = set(itertools.product(*[members(got.stalks[x])
                                            for x in space.member_points(u)]))
             if mine != cache.sections(p, g, u):
                 found.append("%s on %s: stalks=%s" % (

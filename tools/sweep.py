@@ -41,6 +41,7 @@ is 1 if there was any.  Tier-1 runs the worlds on at most two points in
 """
 
 import collections
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -230,14 +231,14 @@ def _lagrangian_disagreements(sm, f, g, facts):
     return found
 
 
-def _one_per_position(points, f_stalks, fact, lagrangians, cache):
+def _one_per_position(points, f_stalks, fact, lagrangians):
     """The first Lagrangian G in each position relative to F: per point,
     the size of G_x meet F_x and whether G_x holds F^w_x."""
     perp = [{t[i] for t in fact.perp} for i in range(len(points))]
     chosen = {}
     for g in lagrangians:
-        key = tuple((len(cache.members(g[x]) & cache.members(f_stalks[x])),
-                     perp[i] <= cache.members(g[x]))
+        key = tuple((len(members(g[x]) & members(f_stalks[x])),
+                     perp[i] <= members(g[x]))
                     for i, x in enumerate(points))
         chosen.setdefault(key, g)
     return list(chosen.values())
@@ -279,7 +280,7 @@ def _sub_disagreements(space, field, rank, coeff, stalk_families, cache,
         if not (lagrangians and fact.coisotropic):
             continue
         for g_stalks in _one_per_position(space.points, stalks, fact,
-                                          lagrangian, cache):
+                                          lagrangian):
             label = _label(space, field, coeff, stalks, g_stalks)
             counts["reduce_lagrangian"] += 1
             try:
@@ -291,12 +292,18 @@ def _sub_disagreements(space, field, rank, coeff, stalk_families, cache,
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def members(sub):
+    """The vectors of one subspace, enumerated once."""
+    return frozenset(oracle.span_members(sub.field, sub))
+
+
 class _Cache:
     """The oracle's answers, each computed once: over the whole space they
     do not depend on the topology."""
 
     def __init__(self):
-        self._facts, self._members = {}, {}
+        self._facts = {}
 
     def facts(self, w, f, whole):
         key = (w.field, w.space.points, tuple(w.gram.values()),
@@ -304,11 +311,6 @@ class _Cache:
         if key not in self._facts:
             self._facts[key] = oracle.enum_symplectic(w, f, whole, BUDGET)
         return self._facts[key]
-
-    def members(self, sub):
-        if sub not in self._members:
-            self._members[sub] = set(oracle.span_members(sub.field, sub))
-        return self._members[sub]
 
 
 def _worlds(max_points):
