@@ -19,10 +19,10 @@ _EXPORTS = {
               "intersect_submodules", "quotient", "sections_basis",
               "sections_presheaf", "sheafify", "sum_submodules",
               "zero_submodule"),
-    "pairing": ("Degenerate", "NotInvariant", "annihilator",
-                "canonical_pairing", "check_hom_exactness",
-                "induced_endomorphism", "induced_pairing", "is_nondegenerate",
-                "quotient_dual_iso", "theta", "transpose_endomorphism"),
+    "pairing": ("Degenerate", "NotInvariant", "annihilator", "canonical_pairing",
+                "check_hom_exactness", "induced_endomorphism", "induced_pairing",
+                "is_nondegenerate", "left_annihilator", "quotient_dual_iso",
+                "theta", "transpose_endomorphism"),
     "symplectic": ("BadSeed", "DarbouxResult", "NoAdmissibleNeighborhood",
                    "NotCoisotropic", "NotLagrangian", "RankNotConstant",
                    "ReducedModule", "SymplecticModule", "ZeroFormAt",

@@ -427,6 +427,8 @@ def run_command(m: Manifest, cmd: str, args) -> Tuple[int, List[dict]]:
     try:
         return _DISPATCH[cmd](m, args)
     except ValueError as exc:
+        if cmd == "check":  # a suite records its outcomes: an escape is a fault
+            raise
         rec = {"command": cmd, "verdict": "fail",
                "error": type(exc).__name__, "witness": str(exc)}
         return 1, [rec]

@@ -33,8 +33,8 @@ Each subspace question takes at most one elimination, never one per
 vector: ``coordinates`` (and with it ``contains``, ``is_subspace_of`` and
 ``echelon_complement``) reads coordinates off the pivot columns of a
 canonical basis and checks them on ints, an intersection is one Zassenhaus
-elimination, a kernel is one elimination, and a yes/no question is read
-off a rank already at hand.
+elimination, a kernel is one elimination, a yes/no question is read off
+a rank already at hand, and ``echelon_projection`` takes none.
 """
 
 from __future__ import annotations
@@ -637,6 +637,23 @@ def echelon_complement(sub: Subspace, within: Optional[Subspace] = None) -> Subs
     taken = {_pivot(v) for v in sub.basis}
     return Subspace(sub.field, sub.ambient_dim,
                     tuple(w for w in within.basis if _pivot(w) not in taken))
+
+
+def echelon_projection(sub: Subspace, cplt: Subspace) -> Matrix:
+    """The projection along ``sub`` onto ``cplt = echelon_complement(sub,
+    within)``, zero off ``within``: the row for the complement pivot c is e_c
+    minus b_c e_p summed over the canonical rows b of ``sub``, p b's pivot."""
+    field, n = sub.field, sub.ambient_dim
+    pivots = [_pivot(b) for b in sub.basis]
+    rows = []
+    for w in cplt.basis:
+        c = _pivot(w)
+        row = [field.zero] * n
+        row[c] = field.one
+        for b, p in zip(sub.basis, pivots):
+            row[p] = -b[c]
+        rows.append(row)
+    return Matrix.from_rows(field, rows, cols=n)
 
 
 # ---------------------------------------------------------------------------

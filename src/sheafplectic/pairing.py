@@ -135,7 +135,6 @@ class InducedPairing:
     pairing: PairingSheaf          # left: the sub-sheaf, right: the quotient
     perp: SubmoduleSheaf
     quotient: QuotientSheaf
-    projection: MorphismSheaf
 
 
 def induced_pairing(p: PairingSheaf, g: SubmoduleSheaf) -> InducedPairing:
@@ -149,7 +148,7 @@ def induced_pairing(p: PairingSheaf, g: SubmoduleSheaf) -> InducedPairing:
     if not check:
         raise Degenerate("pairing is degenerate at %r" % (check.point,))
     perp = annihilator(p, g)
-    quot, proj = quotient(p.right, perp)
+    quot = quotient(perp)
     gram = {}
     for x in p.space.points:
         bg = g.stalks[x].matrix()
@@ -158,7 +157,7 @@ def induced_pairing(p: PairingSheaf, g: SubmoduleSheaf) -> InducedPairing:
         if gr.rows != gr.cols or rank_of(gr) != gr.rows:
             raise RuntimeError("induced pairing failed to be nondegenerate at %r" % x)
         gram[x] = gr
-    return InducedPairing(PairingSheaf(g, quot, gram), perp, quot, proj)
+    return InducedPairing(PairingSheaf(g, quot, gram), perp, quot)
 
 
 @record
@@ -204,18 +203,19 @@ def induced_endomorphism(p: PairingSheaf, s: MorphismSheaf,
         ip, t)
 
 
-def quotient_dual_iso(e: FreeModuleSheaf, f: SubmoduleSheaf) -> MorphismSheaf:
+def quotient_dual_iso(f: SubmoduleSheaf) -> MorphismSheaf:
     """Identify functionals on the quotient with the annihilator sub-sheaf.
 
     Pointwise the matrix is the transposed projection, a map into the dual
-    of ``e``; its columns span exactly the stalks of the annihilator and
-    kill the denominator.
+    of ``f``'s parent; its columns span exactly the stalks of the
+    annihilator and kill the denominator.
     """
-    quot, proj = quotient(e, f)
+    e = f.parent
+    quot = quotient(f)
     perp = annihilator(canonical_pairing(e), f)
     mats = {}
     for x in e.space.points:
-        q = proj.mats[x]
+        q = quot.proj[x]
         image = Subspace.span(e.field, e.rank, q.entries)
         if image != perp.stalks[x]:
             raise RuntimeError("dual of the quotient missed the annihilator at %r" % x)
@@ -285,11 +285,11 @@ def check_hom_exactness(f: SubmoduleSheaf,
     e = f.parent
     if probe.space != e.space or probe.field != e.field:
         raise ParentMismatch("probe lives on a different space or field")
-    _, proj = quotient(e, f)
+    proj = quotient(f).proj
     pr = probe.rank
     at = {}
     for x in e.space.points:
-        b, q = f.stalks[x].matrix(), proj.mats[x]
+        b, q = f.stalks[x].matrix(), proj[x]
         at[x] = (_exactness(b.transpose(), q), _exactness(q.transpose(), b))
     reports = []
     for u in range(len(e.space.opens)):

@@ -6,8 +6,8 @@ is a point-indexed family of n-vectors and restriction is plain function
 restriction.  Sub-sheaves are stalkwise: one subspace per point, with the
 sections over U being exactly the families that hit the subspace at every
 point of U, and ordered stalkwise too: ``f <= g`` when each stalk of ``f``
-lies in that of ``g``.  Quotients pick deterministic echelon complements so
-that projections are concrete matrices.
+lies in that of ``g``; their parent may be a quotient.  A quotient reads
+its complements and its projection off canonical bases, point by point.
 
 An explicitly presented presheaf is read through its germs: over each open
 U, the sections against the compatible families on U's largest minimal
@@ -37,6 +37,7 @@ from .exactalg import (
     coordinates,
     dot,
     echelon_complement,
+    echelon_projection,
     inverse,
     kernel_basis,
     subspace_intersection,
@@ -183,14 +184,14 @@ def glue(space: FiniteSpace, cover: Cover, locals_: Sequence[Section]) -> Sectio
 class SubmoduleSheaf:
     """One subspace per point; sections over U hit the subspace at each point."""
 
-    def __init__(self, parent: FreeModuleSheaf, stalks: Dict[str, Subspace]):
+    def __init__(self, parent, stalks: Dict[str, Subspace]):
         self.parent = parent
-        self.stalks = PointFamily(parent.space.points, stalks,
-                                  lambda x: parent.rank)
+        self.stalks = PointFamily(parent.space.points, stalks, parent.stalk_dim)
 
     def __repr__(self):
-        dims = [self.stalks[x].dim for x in self.parent.space.points]
-        return "SubmoduleSheaf(rank=%d, stalk_dims=%r)" % (self.parent.rank, dims)
+        pts = self.space.points
+        return "SubmoduleSheaf(ambient_dims=%r, stalk_dims=%r)" % (
+            [self.parent.stalk_dim(x) for x in pts], [self.stalk_dim(x) for x in pts])
 
     @property
     def space(self) -> FiniteSpace:
@@ -231,7 +232,7 @@ def sections_basis(f: SubmoduleSheaf, u: int) -> List[Section]:
     out = []
     for x in pts:
         for row in f.stalks[x].basis:
-            values = {y: zero_vector(f.field, f.parent.rank) for y in pts}
+            values = {y: zero_vector(f.field, f.parent.stalk_dim(y)) for y in pts}
             values[x] = row
             out.append(Section(u, values))
     return out
@@ -604,11 +605,9 @@ class QuotientSheaf:
     proj: Dict[str, Matrix]         # ambient coordinates -> quotient coordinates
 
     def __post_init__(self):
-        n = self.parent.rank
-        self.complements = PointFamily(self.space.points, self.complements,
-                                       lambda x: n)
-        self.proj = PointFamily(self.space.points, self.proj,
-                                lambda x: (self.complements[x].dim, n))
+        pts, n = self.space.points, self.parent.rank
+        self.complements = PointFamily(pts, self.complements, lambda x: n)
+        self.proj = PointFamily(pts, self.proj, lambda x: (self.stalk_dim(x), n))
 
     @property
     def space(self) -> FiniteSpace:
@@ -622,39 +621,28 @@ class QuotientSheaf:
         return self.complements[x].dim
 
 
-def quotient(e: FreeModuleSheaf, f: SubmoduleSheaf,
-             within: Optional[SubmoduleSheaf] = None):
-    """Quotient (within / f), by default of the whole free sheaf, with its
-    projection from the free sheaf; both stalkwise explicit."""
-    if f.parent != e:
-        raise ParentMismatch("numerator does not live in the given sheaf")
+def quotient(f: SubmoduleSheaf,
+             within: Optional[SubmoduleSheaf] = None) -> QuotientSheaf:
+    """Quotient (within / f), by default of the whole parent of ``f``, with
+    its complements and projection read off the canonical bases."""
+    e = f.parent
     if within is not None and within.parent != e:
-        raise ParentMismatch("enclosing sub-sheaf does not live in the given sheaf")
-    field = e.field
-    n = e.rank
+        raise ParentMismatch("enclosing sub-sheaf lives in another sheaf")
     complements: Dict[str, Subspace] = {}
     proj: Dict[str, Matrix] = {}
     for x in e.space.points:
         by_stalk = f.stalks[x]
-        within_stalk = None if within is None else within.stalks[x]
         try:
-            cplt = echelon_complement(by_stalk, within_stalk)
+            cplt = echelon_complement(
+                by_stalk, None if within is None else within.stalks[x])
         except AmbientMismatch:  # both stalks live in e: not inside
             raise ParentMismatch("stalk at %r is not inside the enclosing "
                                  "stalk" % x) from None
-        pad = () if within_stalk is None else echelon_complement(within_stalk).basis
-        rows = by_stalk.basis + cplt.basis + pad
-        m = Matrix.from_rows(field, rows, cols=n)
-        minv = inverse(m.transpose())
-        if minv is None:
-            raise RuntimeError("complement construction failed at %r" % x)
-        j = by_stalk.dim
-        d = cplt.dim
-        proj_rows = [minv.entries[j + t] for t in range(d)]
-        q = Matrix.from_rows(field, proj_rows, cols=n)
+        q = echelon_projection(by_stalk, cplt)
         if not (by_stalk.matrix() @ q.transpose()).is_zero():
             raise RuntimeError("projection does not kill the denominator at %r" % x)
+        if cplt.matrix() @ q.transpose() != Matrix.identity(e.field, cplt.dim):
+            raise RuntimeError("projection is not the identity on the complement at %r" % x)
         complements[x] = cplt
         proj[x] = q
-    quot = QuotientSheaf(e, f, within, complements, proj)
-    return quot, MorphismSheaf(e, quot, quot.proj)
+    return QuotientSheaf(e, f, within, complements, proj)

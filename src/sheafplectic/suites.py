@@ -50,6 +50,7 @@ from .symplectic import (
     NoAdmissibleNeighborhood,
     SymplecticModule,
     TwoFormSheaf,
+    ZeroFormAt,
     contract,
     darboux,
     darboux_reconstructs,
@@ -380,17 +381,15 @@ def suite_darboux(ctx, rng: random.Random) -> List[dict]:
     if ctx.form is not None:
         for x in ctx.space.points:
             name = "darboux/form-at-%s" % x
-            if ctx.form.coeff[x].is_zero():
-                out.append(_record(name, True, "form vanishes at the point"))
-                continue
             try:
                 res = darboux(ctx.form, x)
+            except ZeroFormAt:
+                out.append(_record(name, True, "form vanishes at the point"))
             except NoAdmissibleNeighborhood as exc:
-                out.append(_record(name, True,
-                                   "no admissible neighbourhood, witness %s"
-                                   % exc.witness))
-                continue
-            out.append(_record(name, darboux_reconstructs(ctx.form, res)))
+                out.append(_record(name, True, "no admissible neighbourhood, "
+                                   "witness %s" % exc.witness))
+            else:
+                out.append(_record(name, darboux_reconstructs(ctx.form, res)))
     if ctx.rank < 2 or not ctx.space.points:
         out.append(_record("darboux/skipped", True,
                            "rank below two" if ctx.rank < 2 else "no points"))
@@ -449,8 +448,8 @@ def suite_reduction(ctx, rng: random.Random) -> List[dict]:
                     out.append(_record("reduction/submodule:%s" % name, ok))
     for k in range(DRAWS):
         f, g = rand_coisotropic_with_lagrangian(e, rng)
-        res = reduce_lagrangian(sm, f, g)
-        red = res.reduction
+        red = reduce(sm, f)
+        reduce_lagrangian(red, g)  # its guards check the projected Lagrangian
         ok = all(red.reduced_dim(x) == f.stalks[x].dim - red.perp.stalks[x].dim
                  for x in ctx.space.points)
         out.append(_record("reduction/random-%d" % k, ok))

@@ -47,7 +47,7 @@ from .sheaf import (
     quotient,
 )
 from .pairing import annihilator, is_nondegenerate
-from .space import FiniteSpace, UnknownPoint
+from .space import UnknownPoint
 
 
 class RankMismatch(ValueError):
@@ -103,7 +103,6 @@ class FlatResult:
     image: SubmoduleSheaf            # row-functional stalks of the image
     kernel: SubmoduleSheaf
     quotient: QuotientSheaf          # module / kernel
-    projection: MorphismSheaf
     iso: Dict[str, Matrix]           # quotient coords -> image coords, invertible
 
     def __post_init__(self):
@@ -124,7 +123,7 @@ def flat(w: TwoFormSheaf) -> FlatResult:
     image = SubmoduleSheaf(e, w.coeff.map(
         lambda x, a: Subspace.span(field, e.rank, a.entries)))
     kernel = SubmoduleSheaf(e, w.coeff.map(lambda x, a: kernel_basis(a)))
-    quot, proj = quotient(e, kernel)
+    quot = quotient(kernel)
     iso = {}
     for x in e.space.points:
         iso[x] = coordinates(image.stalks[x], (quot.complements[x].matrix()
@@ -134,7 +133,7 @@ def flat(w: TwoFormSheaf) -> FlatResult:
         d = quot.stalk_dim(x)
         if d and rank_of(iso[x]) != d:
             raise RuntimeError("quotient-image comparison is singular at %r" % x)
-    return FlatResult(MorphismSheaf(e, e, w.coeff), image, kernel, quot, proj, iso)
+    return FlatResult(MorphismSheaf(e, e, w.coeff), image, kernel, quot, iso)
 
 
 def form_rank(w: TwoFormSheaf, u: int) -> int:
@@ -429,7 +428,6 @@ class ReducedModule:
     by: SubmoduleSheaf
     perp: SubmoduleSheaf
     quotient: QuotientSheaf
-    projection: MorphismSheaf
     reduced_form: Dict[str, Matrix]
 
     def __post_init__(self):
@@ -457,7 +455,7 @@ def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
     perp = form_perp(sm, f)
     core = SubmoduleSheaf(sm.module, f.stalks.map(
         lambda x, stalk: subspace_intersection(stalk, perp.stalks[x])))
-    quot, proj = quotient(sm.module, core, within=f)
+    quot = quotient(core, within=f)
     reduced = {}
     for x in sm.module.space.points:
         c = quot.complements[x].matrix()
@@ -467,50 +465,29 @@ def reduce(sm: SymplecticModule, f: SubmoduleSheaf) -> ReducedModule:
         if rank_of(g) != quot.stalk_dim(x):
             raise RuntimeError("reduced form degenerate at %r" % x)
         reduced[x] = g
-    return ReducedModule(sm, f, perp, quot, proj, reduced)
+    return ReducedModule(sm, f, perp, quot, reduced)
 
 
-@record
-class QuotientSubmodule:
-    """Stalkwise subspaces of a reduction, in quotient coordinates."""
-
-    reduction: ReducedModule
-    stalks: Dict[str, Subspace]
-
-    def __post_init__(self):
-        self.stalks = PointFamily(self.space.points, self.stalks,
-                                  self.reduction.reduced_dim)
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.reduction.by.space
-
-    def stalk_dim(self, x: str) -> int:
-        return self.stalks[x].dim
-
-
-def reduce_lagrangian(sm: SymplecticModule, f: SubmoduleSheaf,
-                      g: SubmoduleSheaf) -> QuotientSubmodule:
+def reduce_lagrangian(red: ReducedModule, g: SubmoduleSheaf) -> SubmoduleSheaf:
     """Project a Lagrangian through the reduction by a co-isotropic sub-sheaf.
 
     The image of their intersection is Lagrangian for the reduced form:
     isotropic of exactly half the reduced dimension at every point.
     """
-    red = reduce(sm, f)
+    sm, f = red.source, red.by
     if not red.coisotropic:
         raise NotCoisotropic("reduction needs a co-isotropic sub-sheaf")
     if g != form_perp(sm, g):
         raise NotLagrangian("second argument must be Lagrangian")
-    field = sm.module.field
     stalks = {}
     for x in sm.module.space.points:
         meet = subspace_intersection(g.stalks[x], f.stalks[x])
-        rows = (meet.matrix() @ red.projection.mats[x].transpose()).entries
-        img = Subspace.span(field, red.reduced_dim(x), rows)
+        rows = (meet.matrix() @ red.quotient.proj[x].transpose()).entries
+        img = Subspace.span(sm.module.field, red.reduced_dim(x), rows)
         b = img.matrix()
         if not (b @ red.reduced_form[x] @ b.transpose()).is_zero():
             raise RuntimeError("projected Lagrangian is not isotropic at %r" % x)
         if 2 * img.dim != red.reduced_dim(x):
             raise RuntimeError("projected Lagrangian has wrong dimension at %r" % x)
         stalks[x] = img
-    return QuotientSubmodule(red, stalks)
+    return SubmoduleSheaf(red.quotient, stalks)

@@ -226,7 +226,7 @@ def test_criterion_4_reduction():
         for x in space.points:
             assert red.reduced_dim(x) == f.stalks[x].dim - perp.stalks[x].dim
             assert rank_of(red.reduced_form[x]) == red.reduced_dim(x)
-        res = reduce_lagrangian(sm, f, g)   # verifies isotropy internally
+        res = reduce_lagrangian(red, g)   # verifies isotropy internally
         for x in space.points:
             assert 2 * res.stalks[x].dim == red.reduced_dim(x)
             b = res.stalks[x].matrix()

@@ -394,6 +394,22 @@ class TestInternalErrors:
         assert [json.loads(line) for line in
                 capsys.readouterr().out.splitlines()] == [self.RECORD]
 
+    def test_a_named_outcome_escaping_a_suite_is_an_error(self, monkeypatch,
+                                                          capsys):
+        # a suite keeps its expected outcomes in skip records, so a
+        # ``ValueError`` that escapes one is a fault, not a fail
+        def failing(*args):
+            raise Degenerate("pairing is degenerate at 'a'")
+
+        monkeypatch.setattr(pairing, "induced_pairing", failing)
+        code = main(["-m", str(MANIFESTS / "discrete_f3.json"), "check",
+                     "--suite", "annihilator-theorem"])
+        assert code == 4
+        assert [json.loads(line) for line in
+                capsys.readouterr().out.splitlines()] == [dict(
+                    self.RECORD, error="Degenerate",
+                    witness="pairing is degenerate at 'a'")]
+
     def test_process_exits_four_without_traceback(self, tmp_path):
         # sitecustomize runs at interpreter start, before the command
         (tmp_path / "sitecustomize.py").write_text(

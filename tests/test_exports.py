@@ -24,6 +24,12 @@ def test_export_is_the_defining_modules_object(name):
         assert value.__module__ == home.__name__
 
 
+def test_left_annihilator_is_exported_next_to_annihilator():
+    from sheafplectic import annihilator, left_annihilator
+    assert left_annihilator.__module__ == annihilator.__module__ == \
+        "sheafplectic.pairing"
+
+
 def test_dir_lists_every_export():
     assert set(sheafplectic.__all__) <= set(dir(sheafplectic))
 

@@ -19,6 +19,7 @@ from sheafplectic.exactalg import (
     Subspace,
     coordinates,
     echelon_complement,
+    echelon_projection,
     kernel_basis,
     rank_of,
     rref,
@@ -412,6 +413,22 @@ def ref_echelon_complement(sub, within):
                     tuple(w for j, w in enumerate(within.basis) if j not in pivots))
 
 
+def ref_projection(sub, within):
+    """The projection along ``sub`` onto its echelon complement in
+    ``within``: the complement's rows of the inverse of the basis matrix
+    ``[sub; complement; pad]^T``, the pad being the complement of
+    ``within``, inverted by reducing ``[B^T | I]``."""
+    field, n = sub.field, sub.ambient_dim
+    full = Subspace.full(field, n)
+    cplt = ref_echelon_complement(sub, within)
+    basis = sub.basis + cplt.basis + ref_echelon_complement(within, full).basis
+    eye = full.basis
+    reduced, _ = ref_rref([tuple(v[i] for v in basis) + eye[i]
+                           for i in range(n)], 2 * n)
+    return Matrix.from_rows(field, [row[n:] for row in reduced]
+                            [sub.dim:sub.dim + cplt.dim], cols=n)
+
+
 @st.composite
 def subspace_pairs(draw, field):
     """Two subspaces of one ambient space (of dimension 0 to 6): random and
@@ -476,6 +493,18 @@ def test_echelon_complement_matches_solving_per_vector(field, data):
         ref_echelon_complement(a, Subspace.full(field, a.ambient_dim))
     assert subspace_sum(a, got) == within
     assert subspace_intersection(a, got).dim == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_echelon_projection_matches_inverting_the_basis(field, data):
+    a, b = data.draw(subspace_pairs(field))
+    for within in (None, subspace_sum(a, b)):
+        got = echelon_projection(a, echelon_complement(a, within))
+        assert got == ref_projection(a, Subspace.full(field, a.ambient_dim)
+                                     if within is None else within)
+        assert_field_scalars(field, got.entries)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -22,7 +22,6 @@ from sheafplectic.sheaf import (
 from sheafplectic.space import sierpinski
 from sheafplectic.symplectic import (
     FlatResult,
-    QuotientSubmodule,
     ReducedModule,
     SymplecticModule,
     TwoFormSheaf,
@@ -37,10 +36,11 @@ FULL = SP.index_of(("a", "b"))
 E = FreeModuleSheaf(SP, QQ, 2)
 I2, I3 = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
 J2, J4 = standard_block(QQ, 2, 1), standard_block(QQ, 4, 2)
-QUOT, _ = quotient(E, zero_submodule(E))
+QUOT = quotient(zero_submodule(E))
 RED = reduce(SymplecticModule(E, standard_form(E)), full_submodule(E))
 FLAT = flat(standard_form(E))
-QSUB = QuotientSubmodule(RED, {x: Subspace.zero(QQ, 2) for x in SP.points})
+# a quotient submodule: the zero sub-sheaf of the reduced module
+QSUB = SubmoduleSheaf(RED.quotient, {x: Subspace.zero(QQ, 2) for x in SP.points})
 
 
 def manifest_pairing(gram):
@@ -65,12 +65,13 @@ HOLDERS = {
         lambda v: QuotientSheaf(E, QUOT.by, None, QUOT.complements, v)),
     "ReducedModule.reduced_form": (
         J2, J4, lambda v: ReducedModule(RED.source, RED.by, RED.perp,
-                                        RED.quotient, RED.projection, v)),
+                                        RED.quotient, v)),
     "FlatResult.iso": (
         I2, I3, lambda v: FlatResult(FLAT.map, FLAT.image, FLAT.kernel,
-                                     FLAT.quotient, FLAT.projection, v)),
+                                     FLAT.quotient, v)),
+    # a sub-sheaf of a quotient takes the quotient's stalk dimensions
     "QuotientSubmodule": (Subspace.zero(QQ, 2), Subspace.zero(QQ, 3),
-                          lambda v: QuotientSubmodule(RED, v)),
+                          lambda v: SubmoduleSheaf(RED.quotient, v)),
     "make_section": ((QQ.one, QQ.zero), (QQ.one,) * 3,
                      lambda v: make_section(E, FULL, v)),
     "make_section on a QuotientSubmodule": (

@@ -8,6 +8,7 @@ from sheafplectic.exactalg import AmbientMismatch, Matrix, PrimeField, QQ, Subsp
 from sheafplectic.sheaf import (
     ExplicitPresheaf,
     FreeModuleSheaf,
+    MorphismSheaf,
     OverlapMismatch,
     ParentMismatch,
     Section,
@@ -124,7 +125,8 @@ class TestSectionsModule:
     def test_submodule_repr_names_rank_and_stalk_dims(self):
         e = FreeModuleSheaf(sierpinski(), QQ, 2)
         f = submodule(e, {"a": [[1, 0]], "b": []})
-        assert repr(f) == "SubmoduleSheaf(rank=2, stalk_dims=[1, 0])"
+        # the rank is the ambient dimension at every point of a free parent
+        assert repr(f) == "SubmoduleSheaf(ambient_dims=[2, 2], stalk_dims=[1, 0])"
 
 
 class TestGlue:
@@ -395,27 +397,28 @@ class TestOrder:
 class TestQuotient:
     def test_zero_denominator_gives_identity(self):
         e = FreeModuleSheaf(ONE_POINT, QQ, 2)
-        quot, q = quotient(e, zero_submodule(e))
+        quot = quotient(zero_submodule(e))
         assert quot.stalk_dim("p") == 2
-        assert q.mats["p"].entries == Matrix.identity(QQ, 2).entries
+        assert quot.proj["p"].entries == Matrix.identity(QQ, 2).entries
 
     def test_full_denominator_gives_zero(self):
         e = FreeModuleSheaf(ONE_POINT, QQ, 2)
-        quot, _ = quotient(e, full_submodule(e))
+        quot = quotient(full_submodule(e))
         assert quot.stalk_dim("p") == 0
 
     def test_rank3_example(self):
         e = FreeModuleSheaf(ONE_POINT, QQ, 3)
         f = submodule(e, {"p": [[1, 1, 0]]})
-        quot, q = quotient(e, f)
+        quot = quotient(f)
         assert quot.stalk_dim("p") == 2
-        assert q.mats["p"].mat_vec((F(1), F(1), F(0))) == (F(0), F(0))
+        assert quot.proj["p"].mat_vec((F(1), F(1), F(0))) == (F(0), F(0))
 
     def test_short_exact_sequence_over_every_open(self):
         sp = sierpinski()
         e = FreeModuleSheaf(sp, QQ, 3)
         f = submodule(e, {"a": [[1, 1, 0], [0, 0, 1]], "b": [[1, 2, 3]]})
-        quot, q = quotient(e, f)
+        quot = quotient(f)
+        q = MorphismSheaf(e, quot, quot.proj)
         for u in range(len(sp.opens)):
             pts = sp.member_points(u)
             dim_f = sum(f.stalks[x].dim for x in pts)
@@ -428,3 +431,17 @@ class TestQuotient:
             from sheafplectic.exactalg import rank_of
             for x in pts:
                 assert rank_of(q.mats[x]) == quot.stalk_dim(x)
+
+    def test_a_sub_sheaf_of_a_quotient_has_its_stalk_shapes(self):
+        sp = sierpinski()
+        e = FreeModuleSheaf(sp, QQ, 3)
+        quot = quotient(submodule(e, {"a": [[1, 0, 0], [0, 1, 0]], "b": []}))
+        g = SubmoduleSheaf(quot, {"a": Subspace.full(QQ, 1),
+                                  "b": Subspace.span(QQ, 3, [[F(0), F(1), F(1)]])})
+        assert repr(g) == "SubmoduleSheaf(ambient_dims=[1, 3], stalk_dims=[1, 1])"
+        full = sp.index_of(sp.points)
+        assert [s.values for s in sections_basis(g, full)] == [
+            {"a": (F(1),), "b": (F(0),) * 3},
+            {"a": (F(0),), "b": (F(0), F(1), F(1))}]
+        with pytest.raises(ValueError, match="expected"):
+            SubmoduleSheaf(quot, {x: Subspace.full(QQ, 3) for x in sp.points})

@@ -615,31 +615,34 @@ class TestReduceLagrangian:
         self.L = SubmoduleSheaf(e, {"p": qspan(4, [[1, 0, 0, 0], [0, 0, 1, 0]])})
 
     def test_full_coisotropic(self):
-        res = reduce_lagrangian(self.sm, full_submodule(self.sm.module), self.L)
+        red = reduce(self.sm, full_submodule(self.sm.module))
+        res = reduce_lagrangian(red, self.L)
+        assert res.parent == red.quotient
         assert res.stalks["p"].dim == 2
         b = res.stalks["p"].matrix()
-        assert (b @ res.reduction.reduced_form["p"] @ b.transpose()).is_zero()
+        assert (b @ red.reduced_form["p"] @ b.transpose()).is_zero()
 
     def test_lagrangian_denominator_gives_zero(self):
-        res = reduce_lagrangian(self.sm, self.L, self.L)
-        assert res.reduction.reduced_dim("p") == 0
+        res = reduce_lagrangian(reduce(self.sm, self.L), self.L)
+        assert res.parent.stalk_dim("p") == 0
         assert res.stalks["p"].dim == 0
 
     def test_hyperplane(self):
         f = SubmoduleSheaf(self.sm.module,
                            {"p": qspan(4, [[1, 0, 0, 0], [0, 1, 0, 0],
                                            [0, 0, 1, 0]])})
-        res = reduce_lagrangian(self.sm, f, self.L)
+        red = reduce(self.sm, f)
+        res = reduce_lagrangian(red, self.L)
         assert res.stalks["p"].dim == 1
         b = res.stalks["p"].matrix()
-        assert (b @ res.reduction.reduced_form["p"] @ b.transpose()).is_zero()
+        assert (b @ red.reduced_form["p"] @ b.transpose()).is_zero()
 
     def test_not_coisotropic(self):
         f = SubmoduleSheaf(self.sm.module, {"p": qspan(4, [[1, 0, 0, 0]])})
         with pytest.raises(NotCoisotropic):
-            reduce_lagrangian(self.sm, f, self.L)
+            reduce_lagrangian(reduce(self.sm, f), self.L)
 
     def test_not_lagrangian(self):
         g = SubmoduleSheaf(self.sm.module, {"p": qspan(4, [[1, 0, 0, 0]])})
         with pytest.raises(NotLagrangian):
-            reduce_lagrangian(self.sm, full_submodule(self.sm.module), g)
+            reduce_lagrangian(reduce(self.sm, full_submodule(self.sm.module)), g)

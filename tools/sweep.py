@@ -193,12 +193,11 @@ def _reconstructs_agrees(w, res):
                for r in (res, swapped))
 
 
-def _answers(sm, f, whole):
-    """What the main paths say about one sub-sheaf, keyed as in
-    ``_sub_disagreements``."""
+def _answers(sm, f, red, whole):
+    """What the main paths say about one sub-sheaf and its reduction
+    ``red``, keyed as in ``_sub_disagreements``."""
     points = sm.module.space.points
     cls = classify(sm, f)
-    red = reduce(sm, f)
     return {
         "form_perp": {tuple(s.values[x] for x in points) for s in
                       oracle.enum_submodule_sections(form_perp(sm, f), whole,
@@ -209,19 +208,18 @@ def _answers(sm, f, whole):
         "reduced form rank": {x: oracle.recompute_rank_via_minors(
             red.reduced_form[x]) for x in points},
         "reduced form values": oracle.reduced_form_matches(
-            sm.form, f, red.projection.mats, red.reduced_form, BUDGET),
+            sm.form, f, red.quotient.proj, red.reduced_form, BUDGET),
     }
 
 
-def _lagrangian_disagreements(sm, f, g, facts):
-    """What ``reduce_lagrangian`` gets wrong on a co-isotropic F and a
-    Lagrangian G."""
-    field = sm.module.field
-    res = reduce_lagrangian(sm, f, g)
-    red = res.reduction
-    image = oracle.projected_meet(f, g, red.projection.mats, BUDGET)
+def _lagrangian_disagreements(red, g, facts):
+    """What ``reduce_lagrangian`` gets wrong on the reduction ``red`` by a
+    co-isotropic F and a Lagrangian G."""
+    f, field = red.by, red.quotient.field
+    res = reduce_lagrangian(red, g)
+    image = oracle.projected_meet(f, g, red.quotient.proj, BUDGET)
     found = []
-    for x in sm.module.space.points:
+    for x in f.space.points:
         if set(oracle.span_members(field, res.stalks[x])) != image[x]:
             found.append("reduce_lagrangian stalk at %s" % x)
         if not oracle.vanishes_on(red.reduced_form[x], image[x]):
@@ -263,7 +261,8 @@ def _sub_disagreements(space, field, rank, coeff, stalk_families, cache,
         label = _label(space, field, coeff, stalks)
         counts["sub-sheaves"] += 1
         try:
-            main = _answers(sm, f, whole)
+            red = reduce(sm, f)
+            main = _answers(sm, f, red, whole)
         except Exception as exc:
             found.append("%s: %s: %s" % (type(exc).__name__, exc, label))
             continue
@@ -285,7 +284,7 @@ def _sub_disagreements(space, field, rank, coeff, stalk_families, cache,
             counts["reduce_lagrangian"] += 1
             try:
                 bad = _lagrangian_disagreements(
-                    sm, f, SubmoduleSheaf(e, g_stalks), fact)
+                    red, SubmoduleSheaf(e, g_stalks), fact)
             except Exception as exc:
                 bad = ["reduce_lagrangian: %s: %s" % (type(exc).__name__, exc)]
             found += ["%s: %s" % (what, label) for what in bad]
