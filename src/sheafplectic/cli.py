@@ -13,11 +13,11 @@ Exit codes: 0 pass, 1 fail (with the witness in the report), 2 usage,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from ._records import record
@@ -448,33 +448,130 @@ def _render(records: List[dict], human: bool, elapsed: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sheafplectic",
-        description="exact sheaf-module algebra over finite spaces")
-    parser.add_argument("--manifest", "-m", required=True,
-                        help="path to a sheafplectic-manifest/1 JSON file")
-    parser.add_argument("--human", action="store_true",
-                        help="human-readable report instead of JSON lines")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate")
-    p_ann = sub.add_parser("annihilator")
-    p_ann.add_argument("--pairing", required=True)
-    p_ann.add_argument("--sub", required=True)
-    p_cls = sub.add_parser("classify")
-    p_cls.add_argument("--sub", required=True)
-    p_dar = sub.add_parser("darboux")
-    p_dar.add_argument("--at", required=True)
-    p_dar.add_argument("--seed", default=None,
-                       help="name of a 1-row morphism used as seed covector")
-    p_dar.add_argument("--abs-normalize", action="store_true",
-                       dest="abs_normalize")
-    p_red = sub.add_parser("reduce")
-    p_red.add_argument("--sub", required=True)
-    p_chk = sub.add_parser("check")
-    p_chk.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_chk.add_argument("--seed-rng", type=int, default=0, dest="seed_rng")
-    return parser
+# the command line, read as argparse read it: each command maps its options
+# to (required, kind), the kind being ``str`` for a value, ``bool`` for a
+# flag, ``int`` or the tuple of the values allowed; an option's destination
+# is its name with the dashes made underscores
+MAIN_OPTIONS = {"--manifest": (True, str), "--human": (False, bool)}
+COMMANDS = {"validate": {},
+            "annihilator": {"--pairing": (True, str), "--sub": (True, str)},
+            "classify": {"--sub": (True, str)},
+            "darboux": {"--at": (True, str), "--seed": (False, str),
+                        "--abs-normalize": (False, bool)},
+            "reduce": {"--sub": (True, str)},
+            "check": {"--suite": (True, SUITE_NAMES),
+                      "--seed-rng": (False, int)}}
+_SHORT = {"-h": "--help", "-m": "--manifest"}
+_LABELS = {"--help": "-h/--help", "--manifest": "--manifest/-m"}
+_USAGE = ("usage: sheafplectic [-h] (-m | --manifest) MANIFEST [--human] "
+          "COMMAND [OPTION ...]")
+
+
+def _fail(message: str):
+    sys.stderr.write("%s\nsheafplectic: error: %s\n" % (_USAGE, message))
+    raise SystemExit(2)
+
+
+def _option(word: str, options: dict):
+    """``(name, attached value or None)`` for a word naming one of
+    ``options`` or ``--help``, ``(None, None)`` for any other option and
+    None for an operand, each as argparse tells them apart."""
+    if word[:2] == "--" and word != "--":
+        name, eq, value = word.partition("=")
+        names = [name] if name in options else [
+            n for n in ("--help", *options) if n.startswith(name)]
+        if len(names) > 1:
+            _fail("ambiguous option: %s could match %s"
+                  % (word, ", ".join(names)))
+        if names:
+            return names[0], (value if eq else None)
+    elif _SHORT.get(word[:2]) in ("--help", *options):  # -mPATH, -m=PATH
+        rest = word[2:]
+        return _SHORT[word[:2]], (rest.removeprefix("=") if rest else None)
+    # "-", negative numbers and words with a space are operands
+    body = word[1:].removesuffix("\n")
+    if word[:1] != "-" or word == "-" or " " in word or \
+            body.replace(".", "", 1).isdecimal() and body[-1] != ".":
+        return None
+    return None, None
+
+
+def _help() -> str:
+    commands = ["  " + " ".join([command] + [
+        name if required else "[%s]" % name
+        for name, (required, _) in options.items()])
+        for command, options in COMMANDS.items()]
+    return "\n".join([_USAGE, "", "commands:", *commands, "",
+                      "suites: " + ", ".join(SUITE_NAMES),
+                      "A value follows its option as the next word or after "
+                      "'=', or right after -m;",
+                      "a long option may be cut to any prefix that names "
+                      "no other."])
+
+
+def _refuse_ambiguous(words: list, options: dict):
+    """Refuse an ambiguous prefix before "--" before any word is read."""
+    for word in words[:words.index("--")] if "--" in words else words:
+        _option(word, options)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """``manifest``, ``human``, ``command`` and the command's options;
+    ``-h`` prints the usage and exits 0, a refused line exits 2."""
+    words, options, command = list(argv), MAIN_OPTIONS, None
+    found, extras = {}, []
+    _refuse_ambiguous(words, options)
+    while words:
+        word = words.pop(0)
+        if word == "--" and command:  # no option follows, and no command
+                                      # takes an operand
+            extras += [word, *words]
+            break
+        hit = None if word == "--" else _option(word, options)
+        if hit is None and command is None:
+            if word not in COMMANDS:
+                _fail("argument command: invalid choice: %r (choose from %s)"
+                      % (word, ", ".join(map(repr, COMMANDS))))
+            command, options = word, COMMANDS[word]
+            _refuse_ambiguous(words, options)
+            continue
+        if hit is None or hit[0] is None:
+            extras.append(word)
+            continue
+        name, value = hit
+        label = _LABELS.get(name, name)
+        kind = bool if name == "--help" else options[name][1]
+        if kind is bool and value is not None:
+            _fail("argument %s: ignored explicit argument %r" % (label, value))
+        if name == "--help":
+            print(_help())
+            raise SystemExit(0)
+        if kind is not bool and value is None:
+            if not words or _option(words[0], options) is not None:
+                _fail("argument %s: expected one argument" % label)
+            value = words.pop(0)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail("argument %s: invalid int value: %r" % (label, value))
+        if isinstance(kind, tuple) and value not in kind:
+            _fail("argument %s: invalid choice: %r (choose from %s)"
+                  % (label, value, ", ".join(map(repr, kind))))
+        found[name] = True if kind is bool else value
+    for table in (COMMANDS.get(command, {}), MAIN_OPTIONS):
+        missing = [_LABELS.get(name, name) for name, (req, _) in table.items()
+                   if req and name not in found]
+        missing += ["command"] * (table is MAIN_OPTIONS and command is None)
+        if missing:
+            _fail("the following arguments are required: "
+                  + ", ".join(missing))
+    if extras:
+        _fail("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"):
+            found.get(name, kind() if kind in (bool, int) else None)
+        for name, (_, kind) in {**MAIN_OPTIONS, **COMMANDS[command]}.items()})
 
 
 def _outcome(command: str, verdict: str, error: str, witness: str) -> str:
@@ -503,7 +600,7 @@ def _report(args, started: float) -> Tuple[int, str]:
 
 def main(argv=None) -> int:
     started = time.monotonic()
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     code, text = _report(args, started)
     try:
         sys.stdout.write(text)

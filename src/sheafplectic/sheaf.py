@@ -112,13 +112,6 @@ class FreeModuleSheaf:
     def stalk_dim(self, x: str) -> int:
         return self.rank
 
-    def restrict_to(self, u: int) -> "FreeModuleSheaf":
-        return FreeModuleSheaf(self.space.restrict_to(u), self.field, self.rank)
-
-    def dual(self) -> "FreeModuleSheaf":
-        """Functionals are represented as row vectors on the standard basis."""
-        return self
-
 
 @record
 class Section:

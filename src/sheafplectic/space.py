@@ -124,12 +124,6 @@ class FiniteSpace:
             return None
         return self.index_of(union)
 
-    def restrict_to(self, u: int) -> "FiniteSpace":
-        """Subspace topology on the open ``u``."""
-        target = self.opens[u]
-        return FiniteSpace(self.member_points(u),
-                           [o for o in self.opens if o <= target])
-
     # -- covers ---------------------------------------------------------------
 
     def minimal_cover(self, u: int) -> Cover:

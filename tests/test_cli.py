@@ -18,9 +18,9 @@ from sheafplectic.cli import (
     SUITE_NAMES,
     UnknownName,
     ValidationError,
-    build_parser,
     emit_manifest,
     main,
+    parse_args,
     parse_manifest,
     run_command,
 )
@@ -244,7 +244,7 @@ class TestRunCommand:
         return parse_manifest((MANIFESTS / name).read_text())
 
     def args(self, *argv):
-        return build_parser().parse_args(argv)
+        return parse_args(argv)
 
     def test_classify_lagrangian(self):
         m = self.manifest("point_rank2.json")
@@ -331,6 +331,164 @@ class TestSuiteNames:
         err = capsys.readouterr().err
         assert err.startswith("usage: sheafplectic")
         assert "invalid choice: 'nope'" in err
+
+
+POINT = str(MANIFESTS / "point_rank2.json")
+CHOOSE_COMMAND = ("(choose from 'validate', 'annihilator', 'classify', "
+                  "'darboux', 'reduce', 'check')")
+
+
+class TestGrammar:
+    """The command line that argparse read before, read from one table:
+    each accepted line gives the namespace argparse gave, and each refused
+    one argparse's exit code and message."""
+
+    ACCEPTED = [
+        # the README's invocations and the argv shapes of the benchmark
+        (["-m", "manifests/point_rank2.json", "validate"],
+         dict(manifest="manifests/point_rank2.json", human=False,
+              command="validate")),
+        (["-m", "manifests/discrete_f3.json", "annihilator", "--pairing",
+          "dot", "--sub", "G"],
+         dict(manifest="manifests/discrete_f3.json", human=False,
+              command="annihilator", pairing="dot", sub="G")),
+        (["-m", "manifests/point_rank2.json", "classify", "--sub", "L"],
+         dict(manifest="manifests/point_rank2.json", human=False,
+              command="classify", sub="L")),
+        (["-m", "manifests/sierpinski_rank4.json", "darboux", "--at", "a"],
+         dict(manifest="manifests/sierpinski_rank4.json", human=False,
+              command="darboux", at="a", seed=None, abs_normalize=False)),
+        (["-m", "manifests/sierpinski_rank4.json", "darboux", "--at", "b",
+          "--seed", "t"],
+         dict(manifest="manifests/sierpinski_rank4.json", human=False,
+              command="darboux", at="b", seed="t", abs_normalize=False)),
+        (["-m", "manifests/sierpinski_rank4.json", "darboux", "--at", "a",
+          "--abs-normalize"],
+         dict(manifest="manifests/sierpinski_rank4.json", human=False,
+              command="darboux", at="a", seed=None, abs_normalize=True)),
+        (["-m", "manifests/sierpinski_rank4.json", "reduce", "--sub", "F"],
+         dict(manifest="manifests/sierpinski_rank4.json", human=False,
+              command="reduce", sub="F")),
+        (["-m", "manifests/discrete_f3.json", "check", "--suite",
+          "annihilator-theorem", "--seed-rng", "7"],
+         dict(manifest="manifests/discrete_f3.json", human=False,
+              command="check", suite="annihilator-theorem", seed_rng=7)),
+        # the main options in any order, long, attached and cut short
+        (["--human", "-m", "m.json", "reduce", "--sub", "L"],
+         dict(manifest="m.json", human=True, command="reduce", sub="L")),
+        (["-m", "m.json", "--human", "reduce", "--sub", "L"],
+         dict(manifest="m.json", human=True, command="reduce", sub="L")),
+        (["--manifest", "m.json", "validate"],
+         dict(manifest="m.json", human=False, command="validate")),
+        (["--manifest=m.json", "validate"],
+         dict(manifest="m.json", human=False, command="validate")),
+        (["-mm.json", "validate"],
+         dict(manifest="m.json", human=False, command="validate")),
+        (["-m=m.json", "validate"],
+         dict(manifest="m.json", human=False, command="validate")),
+        (["--man", "m.json", "--hum", "validate"],
+         dict(manifest="m.json", human=True, command="validate")),
+        (["-m", "-", "validate"],
+         dict(manifest="-", human=False, command="validate")),
+        # a command's options in any order, attached or cut short
+        (["-m", "m.json", "annihilator", "--sub=G", "--pairing=dot"],
+         dict(manifest="m.json", human=False, command="annihilator",
+              pairing="dot", sub="G")),
+        (["-m", "m.json", "annihilator", "--pair", "dot", "--s", "G"],
+         dict(manifest="m.json", human=False, command="annihilator",
+              pairing="dot", sub="G")),
+        (["-m", "m.json", "darboux", "--abs-normalize", "--seed", "t",
+          "--at", "b"],
+         dict(manifest="m.json", human=False, command="darboux", at="b",
+              seed="t", abs_normalize=True)),
+        (["-m", "m.json", "darboux", "--abs", "--at=b"],
+         dict(manifest="m.json", human=False, command="darboux", at="b",
+              seed=None, abs_normalize=True)),
+        (["-m", "m.json", "check", "--seed-rng=3", "--suite=transpose"],
+         dict(manifest="m.json", human=False, command="check",
+              suite="transpose", seed_rng=3)),
+        (["-m", "m.json", "check", "--suite", "transpose", "--seed-rng",
+          "-5"],
+         dict(manifest="m.json", human=False, command="check",
+              suite="transpose", seed_rng=-5)),
+        # a repeated option: the last one wins
+        (["-m", "a.json", "-m", "m.json", "classify", "--sub", "F", "--sub",
+          "L"],
+         dict(manifest="m.json", human=False, command="classify", sub="L")),
+        (["-m", "m.json", "check", "--suite", "darboux", "--seed-rng", "1",
+          "--seed-rng", "2"],
+         dict(manifest="m.json", human=False, command="check",
+              suite="darboux", seed_rng=2)),
+    ]
+
+    @pytest.mark.parametrize("argv, namespace", ACCEPTED,
+                             ids=[" ".join(a) for a, _ in ACCEPTED])
+    def test_accepted(self, argv, namespace):
+        assert vars(parse_args(argv)) == namespace
+
+    REFUSED = [
+        (["-m", POINT, "frobnicate"],
+         "argument command: invalid choice: 'frobnicate' " + CHOOSE_COMMAND),
+        (["-m", POINT, "--", "validate"],
+         "argument command: invalid choice: '--' " + CHOOSE_COMMAND),
+        (["-m", POINT, "validate", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["-m", POINT, "reduce", "--sub", "L", "extra"],
+         "unrecognized arguments: extra"),
+        (["-m", POINT, "validate", "--", "-h"],
+         "unrecognized arguments: -- -h"),
+        (["-m", POINT, "validate", "-m", POINT],
+         "unrecognized arguments: -m " + POINT),
+        (["-m", POINT, "annihilator", "--pairing", "dot"],
+         "the following arguments are required: --sub"),
+        (["validate", "-m", POINT],
+         "the following arguments are required: --manifest/-m"),
+        ([], "the following arguments are required: --manifest/-m, command"),
+        (["-m"], "argument --manifest/-m: expected one argument"),
+        (["-m", POINT, "darboux", "--at"],
+         "argument --at: expected one argument"),
+        (["-m", POINT, "darboux", "--at", "--seed", "t"],
+         "argument --at: expected one argument"),
+        (["-m", POINT, "darboux", "--a", "p0"],
+         "ambiguous option: --a could match --at, --abs-normalize"),
+        (["--h", "-m", POINT, "validate"],
+         "ambiguous option: --h could match --help, --human"),
+        (["-m", POINT, "--human=yes", "validate"],
+         "argument --human: ignored explicit argument 'yes'"),
+        (["-m", POINT, "check", "--suite", "transpose", "--seed-rng", "x"],
+         "argument --seed-rng: invalid int value: 'x'"),
+        (["-m", POINT, "check", "--suite", "nope"],
+         "argument --suite: invalid choice: 'nope' (choose from "
+         "'annihilator-theorem', 'completeness', 'darboux', "
+         "'hom-exactness', 'reduction', 'transpose')"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSED,
+                             ids=[" ".join(a) for a, _ in REFUSED])
+    def test_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert (out, error) == ("", "sheafplectic: error: " + message)
+        assert usage.startswith("usage: sheafplectic")
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["-m", POINT, "-h"], ["-h", "-m"],
+        ["-m", POINT, "check", "-h"], ["-m", POINT, "darboux", "--he"],
+    ])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: sheafplectic") and err == ""
+        named = set(re.findall(r"--?[a-z][-a-z]*|[a-z][-a-z]+", out))
+        assert {"-h", "-m", *cli.MAIN_OPTIONS, *cli.COMMANDS,
+                *SUITE_NAMES} <= named
+        assert all(set(options) <= named
+                   for options in cli.COMMANDS.values())
 
 
 class TestSuiteErrors:
@@ -766,13 +924,9 @@ class TestMalformedInput:
             ("ParseError", "parse error at 1:1: Unexpected UTF-8 BOM "
              "(decode using utf-8-sig)")
 
-    def test_no_mutant_reaches_an_internal_error(self, capsys, tmp_path,
-                                                 monkeypatch):
+    def test_no_mutant_reaches_an_internal_error(self, capsys, tmp_path):
         # each value at each path of each shipped manifest; json cannot
-        # write an int past 4,300 digits, so that one goes in as text.
-        # One parser serves every call: building it is most of a call's time
-        parser = build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        # write an int past 4,300 digits, so that one goes in as text
         rng = random.Random(20)
         digits = str(rng.randint(1, 9)) + "".join(
             rng.choice("0123456789") for _ in range(4999))

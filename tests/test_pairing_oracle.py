@@ -4,8 +4,10 @@
 included), ``annihilator`` and ``left_annihilator`` with the oracle on
 every world: a topology on at most three points, F_2 or F_3, sides of rank
 1 or 2, and every family of the sweep's grams, degenerate, non-symmetric
-and non-square ones included.  Tier-1 runs the worlds on at most two
-points (a few seconds).
+and non-square ones included.  On the worlds with invertible square grams
+it checks ``transpose_endomorphism`` against the defining identity for
+every family of a few fixed endomorphisms.  Tier-1 runs the worlds on at
+most two points (a few seconds).
 """
 
 import sys
@@ -28,4 +30,8 @@ def test_the_worlds_on_at_most_two_points_agree_with_the_oracle():
         2 + 2 * (sl + sr) + 4 * 2**2 * (sl**2 + sr**2)
         for sizes in ((2, 5), (2, 6)) for sl in sizes for sr in sizes)
     assert counts["left witnesses"] > 0 and counts["right witnesses"] > 0
+    # one invertible gram family per field, rank and topology; 2 endomorphisms
+    # a point at rank 1 and 3 at rank 2, in every combination
+    assert counts["endomorphisms"] == 2 * sum(
+        1 + e + 4 * e**2 for e in (2, 3))
     assert found == lines == []

@@ -302,22 +302,6 @@ class TestRestrictionFunctoriality:
         f = submodule(e, {"a": [[1, 0]], "b": [[1, 1]], "c": []})
         assert sections_presheaf(f).functoriality_failures() == []
 
-    def test_dual_commutes_with_restriction(self):
-        # duals are row-vector sheaves identified with the module itself, so
-        # restricting the dual and dualising the restriction present the
-        # same section spaces over every smaller open
-        sp = chain(("a", "b", "c"))
-        e = FreeModuleSheaf(sp, QQ, 3)
-        u = sp.index_of(("a", "b"))
-        restricted_dual = e.dual().restrict_to(u)
-        dual_restricted = e.restrict_to(u).dual()
-        assert restricted_dual == dual_restricted
-        sub = sp.restrict_to(u)
-        for v in range(len(sub.opens)):
-            a = sections_presheaf(full_submodule(restricted_dual)).dims[v]
-            b = sections_presheaf(full_submodule(dual_restricted)).dims[v]
-            assert a == b
-
 
 class TestSumIntersect:
     def test_sum_with_zero(self):

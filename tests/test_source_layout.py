@@ -10,7 +10,11 @@ command loads is pinned below.  The package's lazy exports go through
 to ``exactalg`` alone: no other module imports ``fractions``, names
 ``FpElement`` (bar the package's re-export) or reads ``.numerator`` /
 ``.denominator``.  Every command line call pays for what importing the CLI
-loads, so no package module uses ``dataclasses``.
+loads, so no package module uses ``dataclasses`` (which loads
+``inspect``), and the CLI reads its command line from its own table
+instead of ``argparse`` (which loads ``gettext`` and, through it,
+``locale``): neither importing the CLI nor running a command loads any of
+these five.
 
 The oracle (``tests/oracle.py``) ships with the tests, not the package.  It
 imports nothing from the package but data types, so the paths it
@@ -121,6 +125,9 @@ def test_no_package_module_imports_dataclasses():
     assert found == []
 
 
+NEVER_LOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     probe = ("import json, sys; before = set(sys.modules); "
              "import sheafplectic.cli; "
@@ -131,7 +138,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = json.loads(proc.stdout)
     assert "sheafplectic.cli" in loaded
     assert "sheafplectic.oracle" not in loaded
-    assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
+    assert [m for m in loaded if m in NEVER_LOADED] == []
 
 
 VALIDATE_LOADS = {"_records", "exactalg", "space", "sheaf", "cli"}
@@ -161,5 +168,6 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loads):
                           check=True)
     code, *modules = json.loads(proc.stderr)
     assert code == 0
+    assert [m for m in modules if m in NEVER_LOADED] == []
     assert {m.split(".", 1)[1] for m in modules
             if m.startswith("sheafplectic.")} == loads

@@ -206,12 +206,6 @@ class TestIrredundantEquivalence:
 
 
 class TestSubspaceTopology:
-    def test_restrict_to_open(self):
-        s = sierpinski()
-        r = s.restrict_to(s.index_of(("a",)))
-        assert r.points == ("a",)
-        assert r.opens == (frozenset(), frozenset("a"))
-
     def test_largest_open_inside(self):
         s = sierpinski()
         assert s.largest_open_inside({"a"}, "a") == s.index_of(("a",))

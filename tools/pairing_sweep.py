@@ -23,7 +23,13 @@ its larger side.  On each world:
   from ``sweep.subspaces``), and ``left_annihilator``, for every stalkwise
   sub-sheaf of the right side, have on every open exactly the sections
   ``enum_annihilator`` enumerates; for the left annihilator the oracle is
-  given the pairing with each gram transposed entry by entry here.
+  given the pairing with each gram transposed entry by entry here;
+- ``transpose_endomorphism``, on each world whose sides have one rank and
+  whose grams the oracle finds invertible at every point (no nonzero
+  radical), for every family of the endomorphisms ``ENDOS`` lists for that
+  rank: with T its answer for S, <S u, v> = <u, T v> under the gram for
+  all members u, v of each point's stalk, evaluated with the oracle's
+  ``_apply`` and ``_dot``.
 
 Each disagreement is printed on one line, then the totals; the exit code
 is 1 if there was any.  Tier-1 runs the worlds on at most two points in
@@ -46,9 +52,11 @@ from sheafplectic.pairing import (  # noqa: E402
     annihilator,
     is_nondegenerate,
     left_annihilator,
+    transpose_endomorphism,
 )
 from sheafplectic.sheaf import (  # noqa: E402
     FreeModuleSheaf,
+    MorphismSheaf,
     PairingSheaf,
     SubmoduleSheaf,
     full_submodule,
@@ -69,7 +77,18 @@ GRAMS = {
     (2, 1): ([[0], [1]], [[0], [0]]),
     (2, 2): ([[1, 1], [0, 1]], [[0, 1], [0, 0]]),
 }
+# rank -> the endomorphisms a point may carry: the identity, a nilpotent
+# and, at rank 2, an invertible one that is not symmetric
+ENDOS = {
+    1: ([[1]], [[0]]),
+    2: ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[1, 1], [0, 1]]),
+}
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])
+
+
+def _matrix(field, rows, cols):
+    return Matrix.from_rows(field, [[field.from_int(a) for a in r]
+                                    for r in rows], cols=cols)
 
 
 def _transposed(p):
@@ -81,12 +100,13 @@ def _transposed(p):
 
 
 class _Oracle:
-    """The oracle's radicals per gram and annihilator sections per list of
-    (gram, stalk) pairs on an open's points, which do not depend on the
-    topology; each is enumerated once."""
+    """The oracle's radicals per gram, annihilator sections per list of
+    (gram, stalk) pairs on an open's points and adjointness per gram and
+    pair of endomorphisms, which do not depend on the topology; each is
+    enumerated once."""
 
     def __init__(self):
-        self._radicals, self._sections = {}, {}
+        self._radicals, self._sections, self._adjoint = {}, {}, {}
 
     def radicals(self, field, gram):
         """The members of the left and of the right radical of one gram."""
@@ -110,6 +130,22 @@ class _Oracle:
                 tuple(s.values[x] for x in pts)
                 for s in oracle.enum_annihilator(p, g, u)}
         return self._sections[key]
+
+    def adjoint(self, field, gram, s, t):
+        """Whether <S u, v> = <u, T v> under ``gram`` for all u, v."""
+        key = (gram, s, t)
+        if key not in self._adjoint:
+            vectors = list(itertools.product(field.elements(),
+                                             repeat=gram.rows))
+
+            def pair(u, v):
+                return oracle._dot(field, u, oracle._apply(field, gram, v))
+
+            self._adjoint[key] = all(
+                pair(oracle._apply(field, s, u), v) ==
+                pair(u, oracle._apply(field, t, v))
+                for u in vectors for v in vectors)
+        return self._adjoint[key]
 
 
 def _nondegeneracy_disagreements(p, cache, counts):
@@ -168,14 +204,38 @@ def _annihilator_disagreements(p, which, main, stalk_families, cache, counts):
     return found
 
 
+def _transpose_disagreements(p, cache, counts):
+    """What ``transpose_endomorphism`` gets wrong on one pairing, for every
+    family of ``ENDOS``; none unless the sides have one rank and every gram
+    is invertible."""
+    field, points = p.field, p.space.points
+    if p.left != p.right or any(len(r) > 1 for x in points
+                                for r in cache.radicals(field, p.gram[x])):
+        return []
+    endos = [_matrix(field, e, p.left.rank) for e in ENDOS[p.left.rank]]
+    found = []
+    for family in itertools.product(endos, repeat=len(points)):
+        s = MorphismSheaf(p.left, p.left, dict(zip(points, family)))
+        counts["endomorphisms"] += 1
+        try:
+            t = transpose_endomorphism(p, s)
+        except Exception as exc:
+            found.append("transpose_endomorphism: %s: %s"
+                         % (type(exc).__name__, exc))
+            continue
+        found += ["transpose_endomorphism at %s: S=%s" % (
+            x, [[field.format(a) for a in r] for r in s.mats[x].entries])
+            for x in points
+            if not cache.adjoint(field, p.gram[x], s.mats[x], t.mats[x])]
+    return found
+
+
 def _worlds(max_points):
     """(pairing, left stalk families, right stalk families) for each field,
     pair of ranks, topology and gram family swept."""
     for field in FIELDS:
         for (lr, rr), grams in GRAMS.items():
-            grams = [Matrix.from_rows(field, [[field.from_int(a) for a in r]
-                                              for r in g], cols=rr)
-                     for g in grams]
+            grams = [_matrix(field, g, rr) for g in grams]
             for n in range(max_points + 1):
                 points = tuple("p%d" % i for i in range(n))
                 stalks = [[dict(zip(points, c)) for c in itertools.product(
@@ -194,8 +254,9 @@ def sweep(max_points=MAX_POINTS, out=print):
     """Run every world on at most ``max_points`` points; print each
     disagreement through ``out`` and return ``(counts, disagreements)``.
     ``counts`` holds the worlds (a topology, field, pair of ranks and gram
-    family each), the annihilator and left annihilator calls checked, and
-    the witnesses checked on each side."""
+    family each), the annihilator and left annihilator calls checked, the
+    witnesses checked on each side and the endomorphism families whose
+    transpose was checked."""
     cache = _Oracle()
     counts = collections.Counter()
     found = []
@@ -213,6 +274,7 @@ def sweep(max_points=MAX_POINTS, out=print):
             _transposed(p), "left_annihilator",
             lambda h: left_annihilator(p, h),
             right_stalks, cache, counts)
+        lines += _transpose_disagreements(p, cache, counts)
         lines = ["%s: %s" % (line, label) for line in lines]
         for line in lines:
             out(line)
@@ -222,8 +284,9 @@ def sweep(max_points=MAX_POINTS, out=print):
 
 def main():
     counts, found = sweep()
-    print("%d worlds, %d sub-sheaves, %d disagreements"
-          % (counts["worlds"], counts["sub-sheaves"], len(found)))
+    print("%d worlds, %d sub-sheaves, %d endomorphisms, %d disagreements"
+          % (counts["worlds"], counts["sub-sheaves"], counts["endomorphisms"],
+             len(found)))
     return 1 if found else 0
 
 
