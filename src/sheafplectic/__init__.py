@@ -12,13 +12,13 @@ _EXPORTS = {
                  "orthogonal_complement", "rank_of", "solve",
                  "subspace_intersection", "subspace_sum"),
     "space": ("Cover", "FiniteSpace", "UnknownPoint", "validate_topology"),
-    "sheaf": ("ExplicitPresheaf", "FreeModuleSheaf", "MorphismSheaf",
-              "OverlapMismatch", "PairingSheaf", "ParentMismatch",
-              "QuotientSheaf", "Section", "SubmoduleSheaf", "TwoFormSheaf",
-              "check_completeness", "full_submodule", "glue",
-              "intersect_submodules", "quotient", "sections_basis",
-              "sections_presheaf", "sheafify", "sum_submodules",
-              "zero_submodule"),
+    "modsheaf": ("FreeModuleSheaf", "MorphismSheaf", "PairingSheaf",
+                 "ParentMismatch", "QuotientSheaf", "Section", "SubmoduleSheaf",
+                 "TwoFormSheaf", "full_submodule", "intersect_submodules",
+                 "quotient", "sections_basis", "sum_submodules",
+                 "zero_submodule"),
+    "sheaf": ("ExplicitPresheaf", "OverlapMismatch", "check_completeness",
+              "glue", "sections_presheaf", "sheafify"),
     "pairing": ("Degenerate", "NotInvariant", "annihilator", "canonical_pairing",
                 "check_hom_exactness", "induced_endomorphism", "induced_pairing",
                 "is_nondegenerate", "left_annihilator", "quotient_dual_iso",
@@ -30,8 +30,9 @@ _EXPORTS = {
                    "lagrangian_complement", "reduce", "reduce_lagrangian",
                    "standard_form"),
 }
-_SUBMODULES = ("cli", "exactalg", "pairing", "sheaf", "space", "suites",
-               "symplectic")
+_SUBMODULES = ("cli", "exactalg", "modsheaf", "pairing", "pairing_suites",
+               "sheaf", "sheaf_suites", "space", "suites", "symplectic",
+               "symplectic_suites")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

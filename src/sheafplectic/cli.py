@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 fail (with the witness in the report), 2 usage,
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ._records import record
 from .exactalg import Matrix, PrimeField, QQ, Subspace, long_literal
 from .space import FiniteSpace, UnknownPoint, validate_topology
-from .sheaf import (
+from .modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     PairingSheaf,
@@ -38,10 +39,13 @@ MAX_POINTS = 12
 MAX_OPENS = 64
 # primality is tested by trial division, in time growing with sqrt(modulus)
 MAX_MODULUS = 2 ** 31 - 1
-# the keys of ``suites.SUITES``, kept here so that parsing the command line
-# does not load the suites
-SUITE_NAMES = ("annihilator-theorem", "completeness", "darboux",
-               "hom-exactness", "reduction", "transpose")
+# each suite by name, with the module that holds it as ``suite_`` and the
+# name with dashes made underscores: parsing the command line loads no
+# suite, and a check loads its suite's module alone
+SUITES = {"annihilator-theorem": "pairing_suites",
+          "completeness": "sheaf_suites", "darboux": "symplectic_suites",
+          "hom-exactness": "pairing_suites", "reduction": "symplectic_suites",
+          "transpose": "pairing_suites"}
 
 
 class ParseError(ValueError):
@@ -393,7 +397,9 @@ def _cmd_reduce(m: Manifest, args) -> Tuple[int, List[dict]]:
 
 def _cmd_check(m: Manifest, args) -> Tuple[int, List[dict]]:
     from .suites import run_suite
-    records = run_suite(args.suite, m, args.seed_rng)
+    home = importlib.import_module("." + SUITES[args.suite], __package__)
+    records = run_suite(getattr(home, "suite_" + args.suite.replace("-", "_")),
+                        m, args.seed_rng)
     out = []
     ok_all = True
     for r in records:
@@ -459,7 +465,7 @@ COMMANDS = {"validate": {},
             "darboux": {"--at": (True, str), "--seed": (False, str),
                         "--abs-normalize": (False, bool)},
             "reduce": {"--sub": (True, str)},
-            "check": {"--suite": (True, SUITE_NAMES),
+            "check": {"--suite": (True, tuple(SUITES)),
                       "--seed-rng": (False, int)}}
 _SHORT = {"-h": "--help", "-m": "--manifest"}
 _LABELS = {"--help": "-h/--help", "--manifest": "--manifest/-m"}
@@ -502,7 +508,7 @@ def _help() -> str:
         for name, (required, _) in options.items()])
         for command, options in COMMANDS.items()]
     return "\n".join([_USAGE, "", "commands:", *commands, "",
-                      "suites: " + ", ".join(SUITE_NAMES),
+                      "suites: " + ", ".join(SUITES),
                       "A value follows its option as the next word or after "
                       "'=', or right after -m;",
                       "a long option may be cut to any prefix that names "

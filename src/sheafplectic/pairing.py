@@ -1,14 +1,14 @@
 """Bilinear pairings of module sheaves: duality, annihilators, transposes.
 
-A pairing (``PairingSheaf``, a data type kept in ``sheaf``) is a family of
-gram matrices, one per point, evaluating two sections pointwise.  The gram
-family is a ``PointFamily``, checked like every per-point map: each point
-exactly once, each matrix with the shape of the two stalks there.  An alternating 2-form is a pairing too, so one
-evaluation serves pairings, forms and reduced forms alike.  Duals of free
-finite-rank sheaves are identified with the sheaves themselves (functionals
-are row vectors on the standard basis), which turns every "within an
-isomorphism" statement into an equality of canonical data that tests can
-compare directly.
+A pairing (``PairingSheaf``, a data type kept in ``modsheaf``) is a family
+of gram matrices, one per point, evaluating two sections pointwise.  The
+gram family is a ``PointFamily``, checked like every per-point map: each
+point exactly once, each matrix with the shape of the two stalks there.  An
+alternating 2-form is a pairing too, so one evaluation serves pairings,
+forms and reduced forms alike.  Duals of free finite-rank sheaves are
+identified with the sheaves themselves (functionals are row vectors on the
+standard basis), which turns every "within an isomorphism" statement into
+an equality of canonical data that tests can compare directly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .exactalg import (
     rank_of,
     zero_vector,
 )
-from .sheaf import (
+from .modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     PairingSheaf,

@@ -3,7 +3,7 @@ constant-rank checks, constructive Darboux decompositions, classification
 of sub-sheaves and symplectic reduction.
 
 Covectors are sections whose point values are row vectors; a 2-form
-(``TwoFormSheaf``, a data type kept in ``sheaf``) is a pairing of a free
+(``TwoFormSheaf``, a data type kept in ``modsheaf``) is a pairing of a free
 module sheaf with itself whose gram family of coefficient matrices is
 alternating: skew with zero diagonal, even in characteristic two.  Like
 every per-point map, each coefficient, isomorphism and reduced form family
@@ -35,7 +35,7 @@ from .exactalg import (
     solve,
     subspace_intersection,
 )
-from .sheaf import (
+from .modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     ParentMismatch,

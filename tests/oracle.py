@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from sheafplectic.exactalg import Field, Matrix, PrimeField, Subspace
-from sheafplectic.sheaf import ExplicitPresheaf, PairingSheaf, Section, SubmoduleSheaf
+from sheafplectic.modsheaf import PairingSheaf, Section, SubmoduleSheaf
+from sheafplectic.sheaf import ExplicitPresheaf
 
 
 class BudgetExceeded(ValueError):

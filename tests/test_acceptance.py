@@ -29,25 +29,24 @@ from sheafplectic.pairing import (
     left_annihilator,
     check_hom_exactness,
 )
-from sheafplectic.sheaf import (
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     Section,
     SubmoduleSheaf,
-    check_completeness,
-    constant_presheaf,
     intersect_submodules,
-    sections_presheaf,
     sum_submodules,
 )
+from sheafplectic.sheaf import (
+    check_completeness,
+    constant_presheaf,
+    sections_presheaf,
+)
+from sheafplectic.pairing_suites import rand_invariant_endo
 from sheafplectic.space import discrete
 from sheafplectic.suites import (
-    nowhere_zero_lowered_covector,
-    rand_coisotropic_with_lagrangian,
-    rand_invariant_endo,
     rand_invertible,
     rand_matrix,
     rand_nondegenerate_pairing,
-    rand_rankwise_form,
     rand_space,
     rand_stalks,
 )
@@ -61,6 +60,11 @@ from sheafplectic.symplectic import (
     reduce,
     reduce_lagrangian,
     standard_form,
+)
+from sheafplectic.symplectic_suites import (
+    nowhere_zero_lowered_covector,
+    rand_coisotropic_with_lagrangian,
+    rand_rankwise_form,
 )
 
 from oracle import (

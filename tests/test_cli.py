@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -10,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from sheafplectic import cli, pairing, suites
+from sheafplectic import cli, pairing, pairing_suites
 from sheafplectic.cli import (
     MAX_MODULUS,
     Manifest,
     ParseError,
-    SUITE_NAMES,
+    SUITES,
     UnknownName,
     ValidationError,
     emit_manifest,
@@ -25,8 +26,8 @@ from sheafplectic.cli import (
     run_command,
 )
 from sheafplectic.exactalg import QQ
+from sheafplectic.modsheaf import MorphismSheaf
 from sheafplectic.pairing import Degenerate, NotInvariant
-from sheafplectic.sheaf import MorphismSheaf
 
 REPO = Path(__file__).resolve().parents[1]
 MANIFESTS = REPO / "manifests"
@@ -321,7 +322,13 @@ class TestLongAnswers:
 
 class TestSuiteNames:
     def test_cli_names_every_suite(self):
-        assert SUITE_NAMES == tuple(sorted(suites.SUITES))
+        # the table names, in order, the module of each ``suite_*`` function
+        found = {name[len("suite_"):].replace("_", "-"): module
+                 for module in set(SUITES.values())
+                 for name in vars(importlib.import_module(
+                     "sheafplectic." + module))
+                 if name.startswith("suite_")}
+        assert found == SUITES and list(SUITES) == sorted(SUITES)
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -486,7 +493,7 @@ class TestGrammar:
         assert out.startswith("usage: sheafplectic") and err == ""
         named = set(re.findall(r"--?[a-z][-a-z]*|[a-z][-a-z]+", out))
         assert {"-h", "-m", *cli.MAIN_OPTIONS, *cli.COMMANDS,
-                *SUITE_NAMES} <= named
+                *SUITES} <= named
         assert all(set(options) <= named
                    for options in cli.COMMANDS.values())
 
@@ -497,7 +504,7 @@ class TestSuiteErrors:
 
     # the suite calls ``induced_endomorphism``, which builds the induced
     # pairing through ``pairing.induced_pairing``
-    HOME = {"induced_pairing": pairing, "induced_endomorphism": suites}
+    HOME = {"induced_pairing": pairing, "induced_endomorphism": pairing_suites}
 
     @pytest.mark.parametrize("name", ["induced_pairing", "induced_endomorphism"])
     def test_internal_error_escapes(self, monkeypatch, name):
@@ -507,7 +514,7 @@ class TestSuiteErrors:
         monkeypatch.setattr(self.HOME[name], name, broken)
         m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
         with pytest.raises(RuntimeError, match="postcondition tripped"):
-            suites.suite_annihilator_theorem(m, random.Random(7))
+            pairing_suites.suite_annihilator_theorem(m, random.Random(7))
 
     @pytest.mark.parametrize("name,part,error", [
         ("induced_endomorphism", "h", NotInvariant("a", ()))])
@@ -518,7 +525,7 @@ class TestSuiteErrors:
 
         monkeypatch.setattr(self.HOME[name], name, failing)
         m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
-        recs = suites.suite_annihilator_theorem(m, random.Random(7))
+        recs = pairing_suites.suite_annihilator_theorem(m, random.Random(7))
         failed = [r["check"] for r in recs if not r["ok"]]
         assert failed and all(c.endswith("/" + part) for c in failed)
 
@@ -531,7 +538,7 @@ class TestSuiteErrors:
         monkeypatch.setattr(pairing, "induced_pairing", failing)
         m = parse_manifest((MANIFESTS / "discrete_f3.json").read_text())
         with pytest.raises(Degenerate, match="degenerate at 'a'"):
-            suites.suite_annihilator_theorem(m, random.Random(7))
+            pairing_suites.suite_annihilator_theorem(m, random.Random(7))
 
 
 class TestInternalErrors:
@@ -672,7 +679,7 @@ class TestProcessLevel:
         path.write_text(json.dumps({
             "format": "sheafplectic-manifest/1",
             "space": {"points": [], "opens": [[]]}, "field": "Q", "rank": 2}))
-        for suite in SUITE_NAMES:
+        for suite in SUITES:
             code, out = run_cli("-m", str(path), "check", "--suite", suite,
                                 "--seed-rng", "1")
             records = [json.loads(line) for line in out.splitlines()]

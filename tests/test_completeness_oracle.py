@@ -25,12 +25,11 @@ from sheafplectic.exactalg import (
     inverse,
     solve,
 )
+from sheafplectic.modsheaf import FreeModuleSheaf, full_submodule
 from sheafplectic.sheaf import (
     ExplicitPresheaf,
-    FreeModuleSheaf,
     check_completeness,
     constant_presheaf,
-    full_submodule,
     sections_presheaf,
     sheafify,
 )

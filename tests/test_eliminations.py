@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from sheafplectic import cli, exactalg, pairing, sheaf, suites, symplectic  # noqa: F401
+from sheafplectic import (  # noqa: F401
+    cli, exactalg, modsheaf, pairing, pairing_suites, sheaf, sheaf_suites,
+    suites, symplectic, symplectic_suites)
 
 REPO = Path(__file__).resolve().parents[1]
 

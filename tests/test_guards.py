@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from sheafplectic import pairing, sheaf, suites, symplectic
+from sheafplectic import (modsheaf, pairing, pairing_suites, symplectic,
+                          symplectic_suites)
 from sheafplectic.cli import main, parse_manifest
 from sheafplectic.exactalg import (
     AmbientMismatch,
@@ -39,8 +40,7 @@ from sheafplectic.pairing import (
     induced_pairing,
     quotient_dual_iso,
 )
-from sheafplectic.sheaf import (
-    ExplicitPresheaf,
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     PairingSheaf,
@@ -50,13 +50,16 @@ from sheafplectic.sheaf import (
     SubmoduleSheaf,
     TwoFormSheaf,
     full_submodule,
-    glue,
     intersect_submodules,
     quotient,
-    restrict_section,
-    sheafify,
     sum_submodules,
     zero_submodule,
+)
+from sheafplectic.sheaf import (
+    ExplicitPresheaf,
+    glue,
+    restrict_section,
+    sheafify,
 )
 from sheafplectic.space import Cover, FiniteSpace, UnknownPoint, sierpinski
 from sheafplectic.symplectic import (
@@ -269,7 +272,7 @@ def _double(m):
 
 def _quotient_by_zero(f, within=None):
     """The quotient that ``quotient`` gives with no denominator."""
-    return REAL["sheaf.quotient"](zero_submodule(f.parent), within)
+    return REAL["modsheaf.quotient"](zero_submodule(f.parent), within)
 
 
 def _with_proj(quot, proj, complements=None):
@@ -282,7 +285,7 @@ def _with_proj(quot, proj, complements=None):
 def _repeated_projection(f):
     """The quotient by ``f`` with the whole stalk as its complement and each
     row of the projection taken twice."""
-    return _with_proj(REAL["sheaf.quotient"](f), lambda q: Matrix.from_rows(
+    return _with_proj(REAL["modsheaf.quotient"](f), lambda q: Matrix.from_rows(
         q.field, q.entries * 2, cols=q.cols), _quotient_by_zero(f).complements)
 
 
@@ -312,9 +315,9 @@ def _scaled(s, k):
                     tuple(tuple(s.field.from_int(k) * a for a in v) for v in s.basis))
 
 
-REAL = {"sheaf.quotient": sheaf.quotient,
-        "sheaf.echelon_projection": sheaf.echelon_projection,
-        "sheaf.echelon_complement": sheaf.echelon_complement,
+REAL = {"modsheaf.quotient": modsheaf.quotient,
+        "modsheaf.echelon_projection": modsheaf.echelon_projection,
+        "modsheaf.echelon_complement": modsheaf.echelon_complement,
         "pairing.coordinates": pairing.coordinates,
         "symplectic.reduce": symplectic.reduce}
 
@@ -327,15 +330,15 @@ IDENTITY2 = MorphismSheaf(E2, E2, {"p": Matrix.identity(QQ, 2)})
 POSTCONDITIONS = [
     # (module, name, wrong kernel, library call, message, command line)
     pytest.param(
-        sheaf, "echelon_projection",
-        lambda s, c: REAL["sheaf.echelon_projection"](_scaled(s, -1), c),
+        modsheaf, "echelon_projection",
+        lambda s, c: REAL["modsheaf.echelon_projection"](_scaled(s, -1), c),
         lambda: quotient(sub(E2, [[1, 1]])),
         "projection does not kill the denominator at 'p'",
         ["sierpinski_rank4.json", "check", "--suite", "hom-exactness"],
         id="quotient-proj"),
     pytest.param(
-        sheaf, "echelon_complement",
-        lambda s, within=None: _scaled(REAL["sheaf.echelon_complement"](s, within), 2),
+        modsheaf, "echelon_complement",
+        lambda s, within=None: _scaled(REAL["modsheaf.echelon_complement"](s, within), 2),
         lambda: quotient(LINE),
         "projection is not the identity on the complement at 'p'",
         ["sierpinski_rank4.json", "reduce", "--sub", "F"],
@@ -354,7 +357,7 @@ POSTCONDITIONS = [
         ["sierpinski_rank4.json", "check", "--suite", "annihilator-theorem"],
         id="perp-invariant"),
     pytest.param(
-        pairing, "quotient", lambda f: _with_proj(REAL["sheaf.quotient"](f),
+        pairing, "quotient", lambda f: _with_proj(REAL["modsheaf.quotient"](f),
                                                   lambda q: q + q),
         lambda: induced_endomorphism(canonical_pairing(E2), IDENTITY2, LINE),
         "induced map does not commute with projection at 'p'",
@@ -410,16 +413,16 @@ POSTCONDITIONS = [
         lambda: reduce(SM2, LINE), "reduced form degenerate at 'p'",
         ["point_rank2.json", "reduce", "--sub", "L"], id="reduced-rank"),
     pytest.param(
-        suites, "reduce", _identity_form,
-        lambda: reduce_lagrangian(suites.reduce(SM4, COISOTROPIC4), sub(
-            E4, [[1, 0, 0, 0], [0, 0, 1, 0]])),
+        symplectic_suites, "reduce", _identity_form,
+        lambda: reduce_lagrangian(symplectic_suites.reduce(SM4, COISOTROPIC4),
+                                  sub(E4, [[1, 0, 0, 0], [0, 0, 1, 0]])),
         "projected Lagrangian is not isotropic at 'p'",
         ["sierpinski_rank4.json", "check", "--suite", "reduction"],
         id="lagrangian-isotropic"),
     pytest.param(
-        suites, "reduce", _zero_projection,
-        lambda: reduce_lagrangian(suites.reduce(SM4, COISOTROPIC4), sub(
-            E4, [[1, 0, 0, 0], [0, 0, 1, 0]])),
+        symplectic_suites, "reduce", _zero_projection,
+        lambda: reduce_lagrangian(symplectic_suites.reduce(SM4, COISOTROPIC4),
+                                  sub(E4, [[1, 0, 0, 0], [0, 0, 1, 0]])),
         "projected Lagrangian has wrong dimension at 'p'",
         ["sierpinski_rank4.json", "check", "--suite", "reduction"],
         id="lagrangian-dimension"),
@@ -463,8 +466,8 @@ SIERPINSKI4 = parse_manifest((MANIFESTS / "sierpinski_rank4.json").read_text())
 # two points and no open that separates them: an open's dimensions sum over
 # both points, so only the per-point count sees stalks swapped between them
 INDISCRETE2 = _ctx(["a", "b"], [[], ["a", "b"]], 2)
-REAL_ANNIHILATOR = suites.annihilator
-REAL_REDUCE = suites.reduce
+REAL_ANNIHILATOR = pairing_suites.annihilator
+REAL_REDUCE = symplectic_suites.reduce
 
 
 def _swapped_annihilator(p, g):
@@ -473,31 +476,35 @@ def _swapped_annihilator(p, g):
 
 
 @pytest.mark.parametrize("suite, ctx, owner, name, wrong, failed", [
-    pytest.param(suites.suite_annihilator_theorem, SIERPINSKI4, suites,
+    pytest.param(pairing_suites.suite_annihilator_theorem, SIERPINSKI4,
+                 pairing_suites,
                  "annihilator", lambda p, g: zero_submodule(p.right),
                  _checks("annihilator-theorem", ["pairing:phi", "form"], "abef"),
                  id="annihilator"),
-    pytest.param(suites.suite_annihilator_theorem, INDISCRETE2, suites,
+    pytest.param(pairing_suites.suite_annihilator_theorem, INDISCRETE2,
+                 pairing_suites,
                  "annihilator", _swapped_annihilator,
                  _checks("annihilator-theorem", ["canonical"], "ab"),
                  id="swapped-stalks"),
-    pytest.param(suites.suite_annihilator_theorem, SIERPINSKI4, suites,
+    pytest.param(pairing_suites.suite_annihilator_theorem, SIERPINSKI4,
+                 pairing_suites,
                  "sum_submodules", lambda fs: zero_submodule(fs[0].parent),
                  _checks("annihilator-theorem", ["pairing:phi", "form"], "cde"),
                  id="sum"),
-    pytest.param(suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
+    pytest.param(pairing_suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
                  "transpose", lambda m: m.compose(m),
                  ["transpose/additivity", "transpose/contravariance",
                   "transpose/kernel-is-image-annihilator"], id="square"),
-    pytest.param(suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
+    pytest.param(pairing_suites.suite_transpose, SIERPINSKI4, MorphismSheaf,
                  "transpose", lambda m: m + m,
                  ["transpose/identity", "transpose/contravariance",
                   "transpose/inverse", "transpose/kernel-is-image-annihilator"],
                  id="double"),
-    pytest.param(suites.suite_transpose, SIERPINSKI4, suites,
+    pytest.param(pairing_suites.suite_transpose, SIERPINSKI4, pairing_suites,
                  "transpose_endomorphism", lambda p, s: s,
                  ["transpose/endomorphism-identity"], id="endomorphism"),
-    pytest.param(suites.suite_reduction, SIERPINSKI4, suites, "reduce",
+    pytest.param(symplectic_suites.suite_reduction, SIERPINSKI4,
+                 symplectic_suites, "reduce",
                  lambda sm, f: REAL_REDUCE(sm, full_submodule(sm.module)),
                  ["reduction/submodule:F", "reduction/submodule:L"] +
                  ["reduction/random-%d" % k for k in range(1, 5)],
@@ -516,7 +523,7 @@ J4_RANK2 = [["0", "1", "0", "0"], ["-1", "0", "0", "0"], ["0"] * 4, ["0"] * 4]
 
 def test_a_degenerate_form_is_skipped_for_the_canonical_pairing():
     ctx = _ctx(*DISCRETE, 3, form={x: J3_RANK2 for x in DISCRETE[0]})
-    recs = suites.suite_annihilator_theorem(ctx, random.Random(1))
+    recs = pairing_suites.suite_annihilator_theorem(ctx, random.Random(1))
     assert [(r["check"], r["ok"], r["detail"]) for r in recs] == \
         [("annihilator-theorem/form/skipped", True,
           "form is degenerate at point a")] + \
@@ -528,7 +535,7 @@ def test_a_degenerate_form_reduces_no_manifest_submodule():
     line = {x: [["1", "0", "0", "0"]] for x in DISCRETE[0]}
     ctx = _ctx(*DISCRETE, 4, form={x: J4_RANK2 for x in DISCRETE[0]},
                submodules={"F": line})
-    recs = suites.suite_reduction(ctx, random.Random(1))
+    recs = symplectic_suites.suite_reduction(ctx, random.Random(1))
     assert [r["check"] for r in recs] == \
         ["reduction/random-%d" % k for k in range(5)]
     assert all(r["ok"] for r in recs)
@@ -538,20 +545,21 @@ def test_darboux_skips_a_vanishing_form_and_a_point_with_no_neighbourhood():
     # on the Sierpinski space the form vanishes at a, below b
     ctx = _ctx(["a", "b"], [[], ["a"], ["a", "b"]], 2, form={
         "a": [["0", "0"], ["0", "0"]], "b": [["0", "1"], ["-1", "0"]]})
-    recs = suites.suite_darboux(ctx, random.Random(1))
+    recs = symplectic_suites.suite_darboux(ctx, random.Random(1))
     assert [(r["check"], r["ok"], r["detail"]) for r in recs[:2]] == [
         ("darboux/form-at-a", True, "form vanishes at the point"),
         ("darboux/form-at-b", True, "no admissible neighbourhood, witness a")]
     assert all(r["ok"] for r in recs)
-    assert suites.nowhere_zero_lowered_covector(ctx.form, "b") is None
+    assert symplectic_suites.nowhere_zero_lowered_covector(ctx.form,
+                                                           "b") is None
 
 
 @pytest.mark.parametrize("points, opens, rank, suite, record", [
-    pytest.param([], [[]], 2, suites.suite_darboux,
+    pytest.param([], [[]], 2, symplectic_suites.suite_darboux,
                  ("darboux/skipped", True, "no points"), id="no-points"),
-    pytest.param(["p"], [[], ["p"]], 1, suites.suite_darboux,
+    pytest.param(["p"], [[], ["p"]], 1, symplectic_suites.suite_darboux,
                  ("darboux/skipped", True, "rank below two"), id="rank-one"),
-    pytest.param(["p"], [[], ["p"]], 1, suites.suite_reduction,
+    pytest.param(["p"], [[], ["p"]], 1, symplectic_suites.suite_reduction,
                  ("reduction/skipped", True, "odd or zero rank"), id="odd-rank"),
 ])
 def test_a_suite_with_nothing_to_draw_is_skipped(points, opens, rank, suite,

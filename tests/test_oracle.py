@@ -4,13 +4,15 @@ import pytest
 
 from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace, rank_of
 from sheafplectic.pairing import PairingSheaf, annihilator
-from sheafplectic.sheaf import (
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     SubmoduleSheaf,
-    constant_presheaf,
     full_submodule,
-    sections_presheaf,
     zero_submodule,
+)
+from sheafplectic.sheaf import (
+    constant_presheaf,
+    sections_presheaf,
     check_completeness,
 )
 from sheafplectic.space import FiniteSpace, discrete

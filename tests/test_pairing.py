@@ -28,19 +28,18 @@ from sheafplectic.pairing import (
     theta,
     transpose_endomorphism,
 )
-from sheafplectic.sheaf import (
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     ParentMismatch,
     Section,
     SubmoduleSheaf,
     full_submodule,
-    make_section,
     quotient,
-    restrict_section,
     sections_basis,
     zero_submodule,
 )
+from sheafplectic.sheaf import make_section, restrict_section
 from sheafplectic.space import FiniteSpace, discrete, sierpinski
 from sheafplectic.suites import rand_space, rand_stalks
 
@@ -200,7 +199,7 @@ class TestMainTheoremParts:
             assert back.stalks["p"] == g.stalks["p"]
 
     def test_de_morgan_laws(self):
-        from sheafplectic.sheaf import intersect_submodules, sum_submodules
+        from sheafplectic.modsheaf import intersect_submodules, sum_submodules
         for _ in range(10):
             g, h = self.rand_sub(), self.rand_sub()
             s = sum_submodules([g, h])
@@ -215,7 +214,7 @@ class TestMainTheoremParts:
             assert lhs2.stalks["p"] == rhs2.stalks["p"]
 
     def test_inclusion_reversal_and_injectivity(self):
-        from sheafplectic.sheaf import sum_submodules
+        from sheafplectic.modsheaf import sum_submodules
         for _ in range(10):
             g = self.rand_sub()
             h = sum_submodules([g, self.rand_sub()])

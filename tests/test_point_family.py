@@ -8,17 +8,17 @@ import pytest
 from sheafplectic.cli import parse_manifest
 from sheafplectic.exactalg import Matrix, QQ, Subspace
 from sheafplectic.pairing import PairingSheaf
-from sheafplectic.sheaf import (
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
     PointFamily,
     QuotientSheaf,
     SubmoduleSheaf,
     full_submodule,
-    make_section,
     quotient,
     zero_submodule,
 )
+from sheafplectic.sheaf import make_section
 from sheafplectic.space import sierpinski
 from sheafplectic.symplectic import (
     FlatResult,

@@ -14,7 +14,8 @@ import pytest
 
 from sheafplectic.exactalg import QQ, FpElement, Matrix, PrimeField, \
     RationalField, Subspace
-from sheafplectic.sheaf import Counterexample, FreeModuleSheaf
+from sheafplectic.modsheaf import FreeModuleSheaf
+from sheafplectic.sheaf import Counterexample
 from sheafplectic.space import Cover, TopologyReport, sierpinski
 
 F5 = PrimeField(5)

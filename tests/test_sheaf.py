@@ -5,28 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafplectic.exactalg import AmbientMismatch, Matrix, PrimeField, QQ, Subspace
-from sheafplectic.sheaf import (
-    ExplicitPresheaf,
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
-    OverlapMismatch,
     ParentMismatch,
     Section,
     SubmoduleSheaf,
+    full_submodule,
+    intersect_submodules,
+    quotient,
+    sections_basis,
+    sum_submodules,
+    zero_submodule,
+)
+from sheafplectic.sheaf import (
+    ExplicitPresheaf,
+    OverlapMismatch,
     Counterexample,
     check_completeness,
     constant_presheaf,
-    full_submodule,
     glue,
-    intersect_submodules,
     make_section,
-    quotient,
     restrict_section,
-    sections_basis,
     sections_presheaf,
     sheafify,
-    sum_submodules,
-    zero_submodule,
 )
 from sheafplectic.space import Cover, FiniteSpace, chain, discrete, sierpinski
 from sheafplectic.suites import rand_space, rand_stalks

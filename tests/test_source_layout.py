@@ -3,10 +3,16 @@
 Imports happen at module level, so a module's dependencies are visible at
 its top.  The one exception is the CLI's command handlers (``_cmd_*`` in
 ``cli.py``): each imports, relatively, the package modules its command
-runs, so that a call compiles only what its command runs (without a
-bytecode cache, compiling is most of a call's start-up).  Which modules each
-command loads is pinned below.  The package's lazy exports go through
-``importlib`` and need no exception.  How a scalar is represented is known
+runs, and ``check`` imports through ``importlib`` the module that
+``cli.SUITES`` names for its suite, so that a call compiles only what its
+command runs (without a bytecode cache, compiling is most of a call's
+start-up).  Which modules each command and each suite loads is pinned
+below: every call loads the module-sheaf data (``modsheaf``), only the
+``completeness`` suite loads the sheaf axioms (``sheaf``), and only
+``classify``, ``darboux``, ``reduce`` and the ``darboux`` and ``reduction``
+suites load ``symplectic``.  Besides those handlers, only the package's
+lazy exports (``__getattr__`` in ``__init__.py``) call
+``importlib.import_module``.  How a scalar is represented is known
 to ``exactalg`` alone: no other module imports ``fractions``, names
 ``FpElement`` (bar the package's re-export) or reads ``.numerator`` /
 ``.denominator``.  Every command line call pays for what importing the CLI
@@ -27,6 +33,7 @@ oracle's cover-by-cover check stays independent.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +41,7 @@ from pathlib import Path
 import pytest
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "sheafplectic"
+COMPILED_LINES = PKG.parents[1] / "tools" / "compiled_lines.py"
 ORACLE = Path(__file__).resolve().with_name("oracle.py")
 
 ORACLE_MAY_IMPORT = {"Field", "Matrix", "PrimeField", "Subspace",
@@ -53,6 +61,18 @@ def _command_import(path, fn, node):
             and (PKG / ("%s.py" % node.module)).is_file())
 
 
+def _import_module(path, fn, node):
+    """A call of ``importlib.import_module`` outside the CLI command
+    handlers and the package's lazy exports."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "import_module"
+            and (path.name, getattr(fn, "name", "")) != ("__init__.py",
+                                                         "__getattr__")
+            and not (path.name == "cli.py"
+                     and getattr(fn, "name", "").startswith("_cmd_")))
+
+
 def test_no_import_inside_a_function():
     found = []
     for path in sorted(PKG.glob("*.py")):
@@ -61,8 +81,9 @@ def test_no_import_inside_a_function():
                                ast.Lambda)):
                 found += ["%s:%d" % (path.name, node.lineno)
                           for node in ast.walk(fn)
-                          if isinstance(node, (ast.Import, ast.ImportFrom))
-                          and not _command_import(path, fn, node)]
+                          if (isinstance(node, (ast.Import, ast.ImportFrom))
+                              and not _command_import(path, fn, node))
+                          or _import_module(path, fn, node)]
     assert sorted(set(found)) == []
 
 
@@ -141,21 +162,33 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert [m for m in loaded if m in NEVER_LOADED] == []
 
 
-VALIDATE_LOADS = {"_records", "exactalg", "space", "sheaf", "cli"}
+VALIDATE_LOADS = {"_records", "exactalg", "space", "modsheaf", "cli"}
 ANNIHILATOR_LOADS = VALIDATE_LOADS | {"pairing"}
 SYMPLECTIC_LOADS = ANNIHILATOR_LOADS | {"symplectic"}
+SUITE_LOADS = ANNIHILATOR_LOADS | {"suites"}
+PAIRING_SUITE_LOADS = SUITE_LOADS | {"pairing_suites"}
 COMMAND_LOADS = [
     (["validate"], VALIDATE_LOADS),
     (["annihilator", "--pairing", "dot", "--sub", "L"], ANNIHILATOR_LOADS),
     (["classify", "--sub", "L"], SYMPLECTIC_LOADS),
     (["darboux", "--at", "p0"], SYMPLECTIC_LOADS),
     (["reduce", "--sub", "L"], SYMPLECTIC_LOADS),
-    (["check", "--suite", "transpose"], SYMPLECTIC_LOADS | {"suites"}),
+    (["check", "--suite", "annihilator-theorem"], PAIRING_SUITE_LOADS),
+    (["check", "--suite", "transpose"], PAIRING_SUITE_LOADS),
+    (["check", "--suite", "hom-exactness"], PAIRING_SUITE_LOADS),
+    (["check", "--suite", "completeness"],
+     SUITE_LOADS | {"sheaf", "sheaf_suites"}),
+    (["check", "--suite", "darboux"],
+     SUITE_LOADS | {"symplectic", "symplectic_suites"}),
+    (["check", "--suite", "reduction"],
+     SUITE_LOADS | {"symplectic", "symplectic_suites"}),
 ]
 
 
 @pytest.mark.parametrize("argv, loads", COMMAND_LOADS,
-                         ids=[argv[0] for argv, _ in COMMAND_LOADS])
+                         ids=[argv[0] + ("-" + argv[2] if argv[0] == "check"
+                                         else "")
+                              for argv, _ in COMMAND_LOADS])
 def test_each_command_loads_only_the_modules_it_runs(argv, loads):
     probe = ("import json, sys; from sheafplectic import cli; "
              "code = cli.main(sys.argv[1:]); "
@@ -171,3 +204,22 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loads):
     assert [m for m in modules if m in NEVER_LOADED] == []
     assert {m.split(".", 1)[1] for m in modules
             if m.startswith("sheafplectic.")} == loads
+
+
+def test_compiled_lines_lists_what_each_call_loads():
+    # one row per call on point_rank2.json: the call, its exit code, the
+    # lines of its modules and the modules, which are those pinned above
+    # plus the package's __init__ and __main__
+    proc = subprocess.run([sys.executable, str(COMPILED_LINES)],
+                          capture_output=True, text=True, check=True)
+    rows = {}
+    for line in proc.stdout.splitlines()[1:]:
+        call, code, total, modules = re.fullmatch(
+            r"(.*?) +exit (\d+) +([\d,]+) lines  (.*)", line).groups()
+        modules = modules.split()
+        assert code == "0"
+        assert int(total.replace(",", "")) == sum(
+            len((PKG / ("%s.py" % m)).read_text(encoding="utf-8").splitlines())
+            for m in modules)
+        rows[call] = set(modules) - {"__init__", "__main__"}
+    assert rows == {" ".join(argv): loads for argv, loads in COMMAND_LOADS}

@@ -13,7 +13,7 @@ from sheafplectic.exactalg import (
     rank_of,
     rref,
 )
-from sheafplectic.sheaf import (
+from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     PairingSheaf,
     ParentMismatch,
@@ -21,18 +21,12 @@ from sheafplectic.sheaf import (
     SubmoduleSheaf,
     full_submodule,
     intersect_submodules,
-    make_section,
     zero_submodule,
 )
+from sheafplectic.sheaf import make_section
 from sheafplectic.pairing import canonical_pairing
 from sheafplectic.space import FiniteSpace, sierpinski
-from sheafplectic.suites import (
-    nowhere_zero_lowered_covector,
-    rand_coisotropic_with_lagrangian,
-    rand_rankwise_form,
-    rand_space,
-    rand_stalks,
-)
+from sheafplectic.suites import rand_space, rand_stalks
 from sheafplectic.symplectic import (
     BadSeed,
     DarbouxResult,
@@ -55,6 +49,11 @@ from sheafplectic.symplectic import (
     reduce,
     reduce_lagrangian,
     standard_form,
+)
+from sheafplectic.symplectic_suites import (
+    nowhere_zero_lowered_covector,
+    rand_coisotropic_with_lagrangian,
+    rand_rankwise_form,
 )
 
 ONE_POINT = FiniteSpace(("p",), [(), ("p",)])

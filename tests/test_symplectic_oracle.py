@@ -13,7 +13,12 @@ import sys
 from pathlib import Path
 
 from sheafplectic.exactalg import Matrix, PrimeField, Subspace
-from sheafplectic.sheaf import FreeModuleSheaf, Section, SubmoduleSheaf, TwoFormSheaf
+from sheafplectic.modsheaf import (
+    FreeModuleSheaf,
+    Section,
+    SubmoduleSheaf,
+    TwoFormSheaf,
+)
 from sheafplectic.space import FiniteSpace
 
 from oracle import (

@@ -9,8 +9,10 @@ topology on at most three points), the field F_2 or F_3, the ranks of the
 pairing's two sides (1 or 2 each) and a gram family: at each point one of
 the matrices ``GRAMS`` lists for those ranks, in every combination.  The
 square ones include a matrix that is invertible and one that is degenerate,
-neither of them symmetric; a matrix that is not square is degenerate on
-its larger side.  On each world:
+neither of them symmetric, and at rank 2 a symmetric invertible one whose
+inverse differs from it over F_2 as over F_3, so that a transpose taken
+with the inverse where the gram belongs fails on both fields; a matrix
+that is not square is degenerate on its larger side.  On each world:
 
 - ``is_nondegenerate`` is compared with the radicals the oracle enumerates
   at each point (``enum_annihilator`` of everything, on a one-point copy
@@ -54,7 +56,7 @@ from sheafplectic.pairing import (  # noqa: E402
     left_annihilator,
     transpose_endomorphism,
 )
-from sheafplectic.sheaf import (  # noqa: E402
+from sheafplectic.modsheaf import (  # noqa: E402
     FreeModuleSheaf,
     MorphismSheaf,
     PairingSheaf,
@@ -70,12 +72,14 @@ from sweep import (  # noqa: E402
     topologies,
 )
 
-# (left rank, right rank) -> the grams a point may carry, as integer rows
+# (left rank, right rank) -> the grams a point may carry, as integer rows;
+# over F_2 the inverse of [[1, 1], [1, 0]] is [[0, 1], [1, 1]], while
+# [[1, 1], [0, 1]] is its own
 GRAMS = {
     (1, 1): ([[1]], [[0]]),
     (1, 2): ([[1, 1]], [[0, 0]]),
     (2, 1): ([[0], [1]], [[0], [0]]),
-    (2, 2): ([[1, 1], [0, 1]], [[0, 1], [0, 0]]),
+    (2, 2): ([[1, 1], [0, 1]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]),
 }
 # rank -> the endomorphisms a point may carry: the identity, a nilpotent
 # and, at rank 2, an invertible one that is not symmetric

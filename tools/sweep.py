@@ -52,7 +52,7 @@ sys.path.insert(0, str(REPO / "tests"))
 
 import oracle  # noqa: E402
 from sheafplectic.exactalg import Matrix, PrimeField, Subspace  # noqa: E402
-from sheafplectic.sheaf import (  # noqa: E402
+from sheafplectic.modsheaf import (  # noqa: E402
     FreeModuleSheaf,
     SubmoduleSheaf,
     TwoFormSheaf,
