@@ -4,6 +4,7 @@ and the invariant endomorphisms that only the first one draws.  A check of
 one of them loads this module, ``suites`` and ``pairing`` with the layers
 below it, but neither the sheaf axioms nor ``symplectic``.
 """
+
 from __future__ import annotations
 
 import random

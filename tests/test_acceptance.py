@@ -22,13 +22,6 @@ from sheafplectic.exactalg import (
     subspace_intersection,
     subspace_sum,
 )
-from sheafplectic.pairing import (
-    annihilator,
-    induced_endomorphism,
-    induced_pairing,
-    left_annihilator,
-    check_hom_exactness,
-)
 from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     Section,
@@ -36,12 +29,19 @@ from sheafplectic.modsheaf import (
     intersect_submodules,
     sum_submodules,
 )
+from sheafplectic.pairing import (
+    annihilator,
+    induced_endomorphism,
+    induced_pairing,
+    left_annihilator,
+    check_hom_exactness,
+)
+from sheafplectic.pairing_suites import rand_invariant_endo
 from sheafplectic.sheaf import (
     check_completeness,
     constant_presheaf,
     sections_presheaf,
 )
-from sheafplectic.pairing_suites import rand_invariant_endo
 from sheafplectic.space import discrete
 from sheafplectic.suites import (
     rand_invertible,

@@ -32,14 +32,6 @@ from sheafplectic.exactalg import (
     orthogonal_complement,
     solve,
 )
-from sheafplectic.pairing import (
-    Degenerate,
-    canonical_pairing,
-    check_hom_exactness,
-    induced_endomorphism,
-    induced_pairing,
-    quotient_dual_iso,
-)
 from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
@@ -54,6 +46,14 @@ from sheafplectic.modsheaf import (
     quotient,
     sum_submodules,
     zero_submodule,
+)
+from sheafplectic.pairing import (
+    Degenerate,
+    canonical_pairing,
+    check_hom_exactness,
+    induced_endomorphism,
+    induced_pairing,
+    quotient_dual_iso,
 )
 from sheafplectic.sheaf import (
     ExplicitPresheaf,

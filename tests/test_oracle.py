@@ -3,13 +3,13 @@ import random
 import pytest
 
 from sheafplectic.exactalg import Matrix, PrimeField, QQ, Subspace, rank_of
-from sheafplectic.pairing import PairingSheaf, annihilator
 from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     SubmoduleSheaf,
     full_submodule,
     zero_submodule,
 )
+from sheafplectic.pairing import PairingSheaf, annihilator
 from sheafplectic.sheaf import (
     constant_presheaf,
     sections_presheaf,

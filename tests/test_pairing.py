@@ -11,6 +11,17 @@ from sheafplectic.exactalg import (
     kernel_basis,
     rank_of,
 )
+from sheafplectic.modsheaf import (
+    FreeModuleSheaf,
+    MorphismSheaf,
+    ParentMismatch,
+    Section,
+    SubmoduleSheaf,
+    full_submodule,
+    quotient,
+    sections_basis,
+    zero_submodule,
+)
 from sheafplectic.pairing import (
     Degenerate,
     HomExactnessReport,
@@ -27,17 +38,6 @@ from sheafplectic.pairing import (
     quotient_dual_iso,
     theta,
     transpose_endomorphism,
-)
-from sheafplectic.modsheaf import (
-    FreeModuleSheaf,
-    MorphismSheaf,
-    ParentMismatch,
-    Section,
-    SubmoduleSheaf,
-    full_submodule,
-    quotient,
-    sections_basis,
-    zero_submodule,
 )
 from sheafplectic.sheaf import make_section, restrict_section
 from sheafplectic.space import FiniteSpace, discrete, sierpinski

@@ -7,7 +7,6 @@ import pytest
 
 from sheafplectic.cli import parse_manifest
 from sheafplectic.exactalg import Matrix, QQ, Subspace
-from sheafplectic.pairing import PairingSheaf
 from sheafplectic.modsheaf import (
     FreeModuleSheaf,
     MorphismSheaf,
@@ -18,6 +17,7 @@ from sheafplectic.modsheaf import (
     quotient,
     zero_submodule,
 )
+from sheafplectic.pairing import PairingSheaf
 from sheafplectic.sheaf import make_section
 from sheafplectic.space import sierpinski
 from sheafplectic.symplectic import (

@@ -23,8 +23,8 @@ from sheafplectic.modsheaf import (
     intersect_submodules,
     zero_submodule,
 )
-from sheafplectic.sheaf import make_section
 from sheafplectic.pairing import canonical_pairing
+from sheafplectic.sheaf import make_section
 from sheafplectic.space import FiniteSpace, sierpinski
 from sheafplectic.suites import rand_space, rand_stalks
 from sheafplectic.symplectic import (

@@ -50,18 +50,18 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import oracle  # noqa: E402
 from sheafplectic.exactalg import Matrix  # noqa: E402
-from sheafplectic.pairing import (  # noqa: E402
-    annihilator,
-    is_nondegenerate,
-    left_annihilator,
-    transpose_endomorphism,
-)
 from sheafplectic.modsheaf import (  # noqa: E402
     FreeModuleSheaf,
     MorphismSheaf,
     PairingSheaf,
     SubmoduleSheaf,
     full_submodule,
+)
+from sheafplectic.pairing import (  # noqa: E402
+    annihilator,
+    is_nondegenerate,
+    left_annihilator,
+    transpose_endomorphism,
 )
 from sheafplectic.space import FiniteSpace  # noqa: E402
 from sweep import (  # noqa: E402
