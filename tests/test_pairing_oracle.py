@@ -1,14 +1,14 @@
 """The pairing side against its definitions.
 
-``tools/pairing_sweep.py`` compares ``is_nondegenerate`` (its witness
-included), ``annihilator`` and ``left_annihilator`` with the oracle on
-every world: a topology on at most three points, F_2 or F_3, sides of rank
-1 or 2, and every family of the sweep's grams, degenerate, non-symmetric
-and non-square ones included.  On the worlds with invertible square grams
-it checks ``transpose_endomorphism`` against the defining identity for
-every family of a few fixed endomorphisms; at rank 2 one invertible gram
-is not its own inverse over either field.  Tier-1 runs the worlds on at
-most two points (a few seconds).
+The pairing family of ``tools/sweep.py`` compares ``is_nondegenerate``
+(its witness included), ``annihilator`` and ``left_annihilator`` with the
+oracle on every world: a topology on at most three points, F_2 or F_3,
+sides of rank 1 or 2, and every family of the sweep's grams, degenerate,
+non-symmetric and non-square ones included.  On the worlds with invertible
+square grams it checks ``transpose_endomorphism`` against the defining
+identity for every family of a few fixed endomorphisms; at rank 2 one
+invertible gram is not its own inverse over either field.  Tier-1 runs
+the worlds on at most two points (a few seconds).
 """
 
 import sys
@@ -16,12 +16,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-import pairing_sweep  # noqa: E402
+import sweep  # noqa: E402
 
 
 def test_the_worlds_on_at_most_two_points_agree_with_the_oracle():
     lines = []
-    counts, found = pairing_sweep.sweep(2, out=lines.append)
+    counts, found = sweep.pairing(2, out=lines.append)
     # per field and pair of ranks, g grams (two, three at ranks 2 and 2):
     # 1 + g + 4 * g**2 families on the 1, 1 and 4 topologies on 0, 1 and 2
     # points

@@ -28,6 +28,10 @@ cross-checks are never shared with it.  Cover enumeration
 (``.irredundant_covers``) is for the oracle only: no package module but
 ``space`` names it, since the sheaf checks work on minimal covers, so the
 oracle's cover-by-cover check stays independent.
+
+The README's command block runs every tool in ``tools/``, and every
+``python tools/<name>.py`` the README names exists, so a deleted or
+renamed tool cannot stay documented.
 """
 
 import ast
@@ -42,6 +46,7 @@ import pytest
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "sheafplectic"
 COMPILED_LINES = PKG.parents[1] / "tools" / "compiled_lines.py"
+README = PKG.parents[1] / "README.md"
 ORACLE = Path(__file__).resolve().with_name("oracle.py")
 
 ORACLE_MAY_IMPORT = {"Field", "Matrix", "PrimeField", "Subspace",
@@ -223,3 +228,12 @@ def test_compiled_lines_lists_what_each_call_loads():
             for m in modules)
         rows[call] = set(modules) - {"__init__", "__main__"}
     assert rows == {" ".join(argv): loads for argv, loads in COMMAND_LOADS}
+
+
+def test_the_readme_runs_every_tool_and_names_no_other():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Install and test\n\n```sh\n(.*?)```", text,
+                      re.S).group(1)
+    tools = {path.stem for path in COMPILED_LINES.parent.glob("*.py")}
+    assert set(re.findall(r"^python tools/(\w+)\.py", block, re.M)) == tools
+    assert set(re.findall(r"python tools/(\w+)\.py", text)) <= tools

@@ -1,14 +1,16 @@
 """The symplectic constructions against their definitions.
 
-``tools/sweep.py`` compares ``form_rank``, ``darboux``,
-``darboux_reconstructs``, ``form_perp``, ``classify``, ``reduce`` and
-``reduce_lagrangian`` with the oracle on every world: a topology on at
-most three points at rank 1 or 2, or one point at rank 4, over F_2 or F_3,
-with every alternating coefficient family and every stalkwise sub-sheaf.
+The symplectic family of ``tools/sweep.py`` compares ``form_rank``,
+``darboux``, ``darboux_reconstructs``, ``form_perp``, ``classify``,
+``reduce`` and ``reduce_lagrangian`` with the oracle on every world: a
+topology on at most three points at rank 1 or 2, or one point at rank 4,
+over F_2 or F_3, with every alternating coefficient family and every
+stalkwise sub-sheaf.
 Tier-1 runs the worlds on at most two points and the rank-4 point (a few
 seconds); the oracle's own answers are pinned on one point by hand.
 """
 
+import collections
 import sys
 from pathlib import Path
 
@@ -47,12 +49,13 @@ def stalk(*rows):
 
 
 def test_every_topology_on_up_to_three_points_is_enumerated():
-    assert [len(list(sweep.topologies(n))) for n in range(4)] == [1, 1, 4, 29]
+    sizes = collections.Counter(len(s.points) for s in sweep.spaces(3))
+    assert [sizes[n] for n in range(4)] == [1, 1, 4, 29]
 
 
 def test_the_worlds_on_at_most_two_points_agree_with_the_oracle():
     lines = []
-    counts, found = sweep.sweep(2, out=lines.append)
+    counts, found = sweep.symplectic(2, out=lines.append)
     # rank 1: the zero form on 1 + 1 + 4 topologies per field; rank 2: every
     # coefficient family on them; rank 4: every alternating 4 x 4 matrix
     assert counts["worlds"] == 2 * 6 + (1 + 2 + 4 * 2**2) + \
