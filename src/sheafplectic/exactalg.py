@@ -22,7 +22,9 @@ knows how a scalar is represented:
   product and one ``Fraction``; over F_p each entry is a residue sum.
 - ``AlternatingResidual``, the rank-two update of the Darboux
   decomposition, keeps an alternating matrix as integers over one common
-  denominator and computes only its upper triangle.
+  denominator and computes only its upper triangle.  Its one step rule
+  clears a row with a given covector, a row of the matrix itself or a
+  seed.
 
 Each kernel converts its input with a type check, so an entry that is not
 the field's scalar (an ``int`` or ``float`` over Q, a residue of another
@@ -170,9 +172,6 @@ class RationalField:
         except ZeroDivisionError:
             raise ValueError("zero denominator in rational literal: %r" % (text,))
 
-    def abs(self, a: Fraction) -> Fraction:
-        return abs(a)
-
     def format(self, a: Fraction) -> str:
         num = str(Decimal(a.numerator))  # str(int) stops at the digit limit
         return num if a.denominator == 1 else "%s/%s" % (num, Decimal(a.denominator))
@@ -207,9 +206,6 @@ class PrimeField:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError("bad F_%d literal: %r" % (self.p, value))
         return FpElement(value, self.p)
-
-    def abs(self, a: FpElement):
-        raise TypeError("F_%d carries no order, |.| undefined" % self.p)
 
     def format(self, a: FpElement) -> int:
         return a.value
@@ -661,7 +657,10 @@ def echelon_projection(sub: Subspace, cplt: Subspace) -> Matrix:
 
 class AlternatingResidual:
     """An alternating matrix ``R`` worn down by rank-two steps
-    ``R <- R - (R_i / c) ^ v``, where ``(a ^ b)[k][l] = a_k b_l - b_k a_l``.
+    ``R <- R - (R_i / c) ^ v`` with ``c = -v_i``, where ``(a ^ b)[k][l] =
+    a_k b_l - b_k a_l``.  The step clears row and column ``i``; an entry
+    step takes ``v = R_j``, so ``c = R_ij``, and a seed step takes a given
+    ``v``.
 
     ``R`` is held as ``num / den`` with ``num`` a list of int rows: over Q
     with ``den > 0`` and the gcd of ``num`` and ``den`` stripped after each
@@ -684,9 +683,6 @@ class AlternatingResidual:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def row_is_zero(self, i: int) -> bool:
-        return not any(self.num[i])
-
     def first_nonzero_entry(self) -> Optional[Tuple[int, int]]:
         """The first nonzero entry above the diagonal, row by row."""
         for i, row in enumerate(self.num):
@@ -695,34 +691,24 @@ class AlternatingResidual:
                     return (i, j)
         return None
 
-    def pivot(self, i: int, j: int,
-              abs_normalize: bool = False) -> Optional[tuple]:
-        """The step with ``c = R_ij`` (``|R_ij|`` when ``abs_normalize``)
-        and ``v = R_j``."""
-        c = self.num[i][j]
-        if not c:
-            return None
-        if abs_normalize:
-            if isinstance(self.field, PrimeField):
-                raise TypeError("F_%d carries no order, |.| undefined"
-                                % self.field.p)
-            c = abs(c)
-        s2 = _scalars(self.field, self.num[j], self.den)
-        return self._step(i, c, self.num[j], self.den), s2
+    def pivot(self, i: int, j: int) -> Optional[tuple]:
+        """The entry step at ``(i, j)``: ``v = R_j``."""
+        return self._step(i, self.num[j], self.den)
 
     def seed(self, i: int, t: Sequence[Scalar]) -> Optional[tuple]:
-        """The step with ``v = t``, a row of field scalars, and ``c = -t_i``."""
-        v, dv = _ints(self.field, t)
-        if not v[i]:
-            return None
-        return self._step(i, -v[i], v, dv), tuple(t)
+        """The seed step at ``i``: ``v = t``, a row of field scalars."""
+        return self._step(i, *_ints(self.field, t))
 
-    def _step(self, i: int, c: int, v: List[int], dv: int) -> tuple:
-        # With R = num/den, v = V/dv and c = C/dv (true of both steps):
+    def _step(self, i: int, v: List[int], dv: int) -> Optional[tuple]:
+        # With R = num/den, v = V/dv and c = C/dv, C = -V_i:
         # R_i / c = num_i dv / (den C) and R' = (C num - num_i ^ V) / (C den).
+        c = -v[i]
+        if not c:
+            return None
         field, num = self.field, self.num
         a = num[i]
         s1 = _scalars(field, [x * dv for x in a], self.den * c)
+        s2 = _scalars(field, v, dv)
         upper = [[c * m - (ak * vl - vk * al)
                   for m, al, vl in zip(row[k + 1:], a[k + 1:], v[k + 1:])]
                  for k, (row, ak, vk) in enumerate(zip(num, a, v))]
@@ -742,4 +728,4 @@ class AlternatingResidual:
         self.den = den
         self.num = [[-upper[l][k - l - 1] for l in range(k)] + [0] + row
                     for k, row in enumerate(upper)]
-        return s1
+        return s1, s2

@@ -17,7 +17,7 @@ tripped guard (a library call's ``RuntimeError``) is exit 4, not a fail.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .exactalg import Field, Matrix, Subspace, rank_of
 from .space import FiniteSpace
@@ -46,10 +46,8 @@ def rand_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
             return m
 
 
-def rand_subspace(field: Field, rng: random.Random, n: int,
-                  dim: Optional[int] = None) -> Subspace:
-    if dim is None:
-        dim = rng.randint(0, n)
+def rand_subspace(field: Field, rng: random.Random, n: int) -> Subspace:
+    dim = rng.randint(0, n)
     return Subspace.span(field, n,
                          [[rand_scalar(field, rng) for _ in range(n)]
                           for _ in range(dim)])

@@ -168,8 +168,7 @@ class DarbouxResult:
     permutation: tuple
 
 
-def _replay(a: Matrix, steps: tuple, seed_row: Optional[tuple],
-            abs_normalize: bool):
+def _replay(a: Matrix, steps: tuple, seed_row: Optional[tuple]):
     """Run a fixed pivot program at one point.
 
     Returns ``(ok, pairs, residual)``, the residual an
@@ -183,11 +182,18 @@ def _replay(a: Matrix, steps: tuple, seed_row: Optional[tuple],
         if step[0] == "seed":
             pair = resid.seed(step[1], seed_row)
         else:
-            pair = resid.pivot(step[1], step[2], abs_normalize)
+            pair = resid.pivot(step[1], step[2])
         if pair is None:
             return False, pairs, resid
         pairs.append(pair)
     return True, pairs, resid
+
+
+def _negative_pivots(field: Field, steps: tuple, pairs: list) -> bool:
+    """Whether an entry pivot ``R_ij`` of the program is negative: the
+    pair's second member ``R_j`` holds ``-R_ij`` at ``i``."""
+    return any(step[0] == "entry" and pair[1][step[1]] > field.zero
+               for step, pair in zip(steps, pairs))
 
 
 def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
@@ -199,6 +205,10 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
     every pivot stays nonzero and the rank stays put, so the reconstruction
     is exact at all of its points.  With a seed covector in the image of the
     flat map, the first pair's second member is the seed itself.
+
+    ``abs_normalize`` keeps only pivots that are their own absolute value:
+    over an ordered field it refuses ``x`` when an entry pivot there is
+    negative, and leaves out of the neighbourhood every point where one is.
     """
     space = w.space
     field = w.field
@@ -232,20 +242,19 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
         steps.append(("seed", next(i for i, c in enumerate(seed_rows[x]) if c)))
     # the seed step cannot fail here: its pivot is seed_rows[x]'s first
     # nonzero entry
-    _, pairs, resid = _replay(w.coeff[x], tuple(steps), seed_rows.get(x),
-                              abs_normalize)
+    _, pairs, resid = _replay(w.coeff[x], tuple(steps), seed_rows.get(x))
     while True:
         entry = resid.first_nonzero_entry()
         if entry is None:
             break
         steps.append(("entry",) + entry)
-        pairs.append(resid.pivot(entry[0], entry[1], abs_normalize))
-        if abs_normalize and not resid.row_is_zero(entry[0]):
-            raise ValueError("absolute-value normalization only reconstructs "
-                             "positive-pivot instances")
+        pairs.append(resid.pivot(entry[0], entry[1]))
 
     steps_t = tuple(steps)
     m = len(steps_t)
+    if abs_normalize and _negative_pivots(field, steps_t, pairs):
+        raise ValueError("absolute-value normalization only reconstructs "
+                         "positive-pivot instances")
 
     # replay pointwise; a point is good when all pivots survive and the
     # residual dies, which pins the rank at exactly twice the step count
@@ -254,9 +263,9 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
     for y in candidate_pts:
         if y == x:
             continue
-        ok, pairs, res = _replay(w.coeff[y], steps_t, seed_rows.get(y),
-                                 abs_normalize)
-        if ok and res.is_zero():
+        ok, pairs, res = _replay(w.coeff[y], steps_t, seed_rows.get(y))
+        if ok and res.is_zero() and not (
+                abs_normalize and _negative_pivots(field, steps_t, pairs)):
             good.add(y)
             point_pairs[y] = pairs
     u = space.largest_open_inside(good, x)
@@ -266,14 +275,15 @@ def darboux(w: TwoFormSheaf, x: str, seed: Optional[Section] = None,
         raise NoAdmissibleNeighborhood(x, witness)
 
     upts = space.member_points(u)
+    for y in upts:
+        if rank_of(w.coeff[y]) != 2 * m:
+            raise RuntimeError("rank mismatch on the returned neighbourhood "
+                               "at %r" % y)
     pairs_sections = []
     for k in range(m):
         s1 = Section(u, {y: point_pairs[y][k][0] for y in upts})
         s2 = Section(u, {y: point_pairs[y][k][1] for y in upts})
         pairs_sections.append((s1, s2))
-
-    if form_rank(w, u) != 2 * m:
-        raise RuntimeError("rank mismatch on the returned neighbourhood")
 
     used = []
     for step in steps_t:

@@ -785,6 +785,24 @@ class TestInProcess:
                                    "error": "UnknownName",
                                    "witness": "unknown name: " + name}
 
+    def test_abs_normalize_looks_only_at_the_pivots_of_kept_points(
+            self, capsys, tmp_path):
+        # both pivots at a are positive, so the flag changes nothing there,
+        # although b's first pivot is negative; at b the flag refuses
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(parity.NEGATIVE_PIVOT))
+        code, out = self.run(capsys, "-m", str(path), "darboux", "--at", "a")
+        assert (code, json.loads(out)["neighborhood"]) == (0, ["a"])
+        assert self.run(capsys, "-m", str(path), "darboux", "--at", "a",
+                        "--abs-normalize") == (code, out)
+        code, out = self.run(capsys, "-m", str(path), "darboux", "--at", "b",
+                             "--abs-normalize")
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "darboux", "verdict": "fail", "error": "ValueError",
+            "witness": "absolute-value normalization only reconstructs "
+                       "positive-pivot instances"}
+
     def test_unreadable_manifest_is_an_input_error(self, capsys, tmp_path):
         code, out = self.run(capsys, "-m", str(tmp_path / "missing.json"),
                              "validate")

@@ -101,6 +101,12 @@ SM4 = SymplecticModule(E4, standard_form(E4))
 S0 = Section(0, {})
 S1 = Section(1, {"p": (F(1), F(0))})
 SIERPINSKI = FreeModuleSheaf(sierpinski(), QQ, 2)
+# rank 2 at a, rank 4 at b, whose minimal open holds a: a replay that
+# stops after one step lets a into b's neighbourhood
+RANK_JUMP = TwoFormSheaf(FreeModuleSheaf(sierpinski(), QQ, 4), {
+    "a": qmat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    "b": qmat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])})
+REAL_REPLAY = symplectic._replay
 
 
 def raises_exactly(thunk, error, message):
@@ -387,9 +393,15 @@ POSTCONDITIONS = [
         symplectic, "rank_of", lambda m: -1, lambda: flat(W2),
         "quotient-image comparison is singular at 'p'", None, id="flat-iso"),
     pytest.param(
-        symplectic, "form_rank", lambda w, u: -1, lambda: darboux(W2, "p"),
-        "rank mismatch on the returned neighbourhood",
+        symplectic, "rank_of", lambda m: -1, lambda: darboux(W2, "p"),
+        "rank mismatch on the returned neighbourhood at 'p'",
         ["sierpinski_rank4.json", "darboux", "--at", "a"], id="darboux-rank"),
+    pytest.param(
+        symplectic, "_replay",
+        lambda a, steps, seed_row: REAL_REPLAY(a, steps[:1], seed_row),
+        lambda: darboux(RANK_JUMP, "b"),
+        "rank mismatch on the returned neighbourhood at 'a'", None,
+        id="darboux-lower-rank"),
     pytest.param(
         symplectic, "kernel_basis", lambda m: Subspace.zero(m.field, m.cols),
         lambda: lagrangian_complement(SM2, LINE),

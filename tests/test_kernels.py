@@ -72,7 +72,7 @@ def ref_matmul(field, a_rows, b_rows, b_cols):
     return tuple(tuple(ref_dot(field, r, c) for c in cols) for r in a_rows)
 
 
-def ref_replay(field, rows, steps, seed_row, abs_normalize):
+def ref_replay(field, rows, steps, seed_row):
     resid = [tuple(r) for r in rows]
     pairs = []
     for step in steps:
@@ -88,8 +88,7 @@ def ref_replay(field, rows, steps, seed_row, abs_normalize):
             p = resid[i][j]
             if not p:
                 return False, pairs, resid
-            norm = field.abs(p) if abs_normalize else p
-            s1 = tuple(c / norm for c in resid[i])
+            s1 = tuple(c / p for c in resid[i])
             s2 = resid[j]
         pairs.append((s1, s2))
         n = len(resid)
@@ -98,24 +97,24 @@ def ref_replay(field, rows, steps, seed_row, abs_normalize):
     return True, pairs, resid
 
 
-def ref_program(field, rows, seed_row, abs_normalize):
+def ref_program(field, rows, seed_row, cut_at_negative):
     """The pivot program ``darboux`` derives: the seed step, if any, then
     the first nonzero entry above the diagonal until the residual dies.
-    Under |.| a negative pivot leaves its row nonzero, where ``darboux``
-    raises; the program stops there."""
+    With ``cut_at_negative`` the program ends at its first negative pivot,
+    where ``darboux --abs-normalize`` refuses, so its residual need not
+    die."""
     steps = []
     if seed_row is not None:
         steps.append(("seed", next(i for i, c in enumerate(seed_row) if c)))
     while True:
-        _, _, resid = ref_replay(field, rows, steps, seed_row, abs_normalize)
-        if abs_normalize and steps and steps[-1][0] == "entry" \
-                and any(resid[steps[-1][1]]):
-            return tuple(steps)
+        _, _, resid = ref_replay(field, rows, steps, seed_row)
         entry = next(((i, j) for i in range(len(resid))
                       for j in range(i + 1, len(resid)) if resid[i][j]), None)
         if entry is None:
             return tuple(steps)
         steps.append(("entry",) + entry)
+        if cut_at_negative and resid[entry[0]][entry[1]] < 0:
+            return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +227,10 @@ def test_matmul_matches_reference(field, data):
 # ---------------------------------------------------------------------------
 # the Darboux replay
 
-def check_replay(field, rows, steps, seed_row, abs_normalize):
+def check_replay(field, rows, steps, seed_row):
     ok, pairs, resid = _replay(Matrix.from_rows(field, rows, cols=len(rows)),
-                               steps, seed_row, abs_normalize)
-    want_ok, want_pairs, want_resid = ref_replay(field, rows, steps, seed_row,
-                                                 abs_normalize)
+                               steps, seed_row)
+    want_ok, want_pairs, want_resid = ref_replay(field, rows, steps, seed_row)
     assert (ok, pairs) == (want_ok, want_pairs)
     assert resid.matrix().entries == tuple(want_resid)
     assert_field_scalars(field, [s for pair in pairs for s in pair])
@@ -248,45 +246,25 @@ def draw_seed_row(data, field, n):
     return row if any(row) else None
 
 
-@pytest.mark.parametrize("field, abs_normalize",
+@pytest.mark.parametrize("field, cut_at_negative",
                          [(f, False) for f in FIELDS] + [(QQ, True)],
                          ids=FIELD_IDS + ["Q-abs"])
 @SETTINGS
 @given(data=st.data())
-def test_replay_matches_reference(field, abs_normalize, data):
+def test_replay_matches_reference(field, cut_at_negative, data):
     n = data.draw(st.integers(0, 6))
     a = data.draw(alternating(field, n))
     seed_row = draw_seed_row(data, field, n)
-    steps = ref_program(field, a, seed_row, abs_normalize)
-    # at the point that fixed the program every pivot survives; without
-    # |.| the residual dies there, and at another point the same program
-    # may stop early
-    ok, resid = check_replay(field, a, steps, seed_row, abs_normalize)
-    assert ok and (abs_normalize or resid.is_zero())
+    steps = ref_program(field, a, seed_row, cut_at_negative)
+    # at the point that fixed the program every pivot survives; a whole
+    # program leaves a zero residual there, and at another point the same
+    # program may stop early
+    ok, resid = check_replay(field, a, steps, seed_row)
+    assert ok and (cut_at_negative or resid.is_zero())
     other = data.draw(alternating(field, n))
     other_seed = seed_row and tuple(data.draw(st.lists(
         scalars(field), min_size=n, max_size=n)))
-    check_replay(field, other, steps, other_seed, abs_normalize)
-
-
-def test_replay_abs_program_after_a_negative_pivot():
-    # without |.| the program is (0,1),(2,3); under |.| the negative first
-    # pivot changes the residual and the second pivot vanishes, so the
-    # program must be derived under |.|, as darboux derives it
-    a = [[F(c) for c in row] for row in
-         [[0, -1, 0, 1], [1, 0, -1, 0], [0, 1, 0, 1], [-1, 0, -1, 0]]]
-    plain = ref_program(QQ, a, None, False)
-    assert plain == (("entry", 0, 1), ("entry", 2, 3))
-    assert check_replay(QQ, a, plain, None, True)[0] is False
-    ok, _ = check_replay(QQ, a, ref_program(QQ, a, None, True), None, True)
-    assert ok
-
-
-def test_replay_abs_normalize_needs_an_order():
-    f3 = PrimeField(3)
-    a = Matrix.from_rows(f3, [(f3.zero, f3.one), (-f3.one, f3.zero)])
-    with pytest.raises(TypeError):
-        _replay(a, (("entry", 0, 1),), None, True)
+    check_replay(field, other, steps, other_seed)
 
 
 # ---------------------------------------------------------------------------

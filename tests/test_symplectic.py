@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sheafplectic.exactalg import (
     Matrix,
@@ -48,6 +48,7 @@ from sheafplectic.symplectic import (
     lagrangian_complement,
     reduce,
     reduce_lagrangian,
+    standard_block,
     standard_form,
 )
 from sheafplectic.symplectic_suites import (
@@ -324,6 +325,117 @@ class TestDarboux:
         w = TwoFormSheaf(e, {"p": j})
         with pytest.raises(ValueError):
             darboux(w, "p", abs_normalize=True)
+
+
+def entry_pivots(coeff, steps=None):
+    """The pivots ``R_ij`` of a program of entry steps on ``coeff``, in
+    field arithmetic, with ``R <- R - (R_i / R_ij) ^ R_j`` after each: the
+    given ``steps``, or by default the program ``darboux`` derives, the
+    first nonzero entry above the diagonal until ``R`` dies."""
+    r = [list(row) for row in coeff.entries]
+    n = len(r)
+    found = []
+    while True:
+        if steps is None:
+            entry = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                          if r[i][j]), None)
+        else:
+            entry = steps[len(found)][1:] if len(found) < len(steps) else None
+        if entry is None:
+            return found
+        i, j = entry
+        found.append(r[i][j])
+        a = [c / r[i][j] for c in r[i]]
+        b = r[j]
+        r = [[r[k][m] - (a[k] * b[m] - b[k] * a[m]) for m in range(n)]
+             for k in range(n)]
+
+
+# small entries, zero the least likely, so few congruences are singular
+ENTRIES = st.sampled_from([1, -1, 2, -2, 0])
+
+
+@st.composite
+def forms_on_small_spaces(draw):
+    """A 2-form over Q of rank 2-4 on a topology on two or three points,
+    each point's coefficient a congruence image ``P^T J P`` of a standard
+    block of any even rank, so ranks may drop from point to point; and a
+    point of the space."""
+    points = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    opens = {frozenset(), frozenset(points)} | {
+        frozenset(u) for u in draw(st.lists(st.sets(st.sampled_from(points)),
+                                            max_size=3))}
+    while True:
+        more = {f(u, v) for u in opens for v in opens
+                for f in (frozenset.union, frozenset.intersection)}
+        if more <= opens:
+            break
+        opens |= more
+    space = FiniteSpace(points, opens)
+    n = draw(st.sampled_from([4, 3, 2]))
+    coeff = {}
+    for y in points:
+        block = standard_block(QQ, n, draw(st.sampled_from(
+            range(n // 2, -1, -1))))
+        p = qmat(draw(st.lists(st.lists(ENTRIES, min_size=n,
+                                        max_size=n), min_size=n, max_size=n)))
+        coeff[y] = p.transpose() @ block @ p
+    return (TwoFormSheaf(FreeModuleSheaf(space, QQ, n), coeff),
+            draw(st.sampled_from(points)))
+
+
+# the standard block at a and the rank-2 form u ^ w at b, u = (1, 0, 1, 0)
+# and w = (0, -1, 0, 1), whose first pivot is negative
+NEGATIVE_AT_B = TwoFormSheaf(FreeModuleSheaf(sierpinski(), QQ, 4), {
+    "a": J4, "b": qmat([[0, -1, 0, 1], [1, 0, 1, 0],
+                        [0, -1, 0, 1], [-1, 0, -1, 0]])})
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=forms_on_small_spaces())
+@example(world=(NEGATIVE_AT_B, "a"))
+@example(world=(NEGATIVE_AT_B, "b"))
+def test_abs_normalize_is_a_sign_rule_on_the_default_program(world):
+    """With ``abs_normalize`` darboux refuses exactly when an entry pivot
+    of the default program at x is negative; otherwise it returns the
+    default answer on a neighbourhood inside the default one, and it never
+    reports ranks that differ."""
+    w, x = world
+    space = w.space
+    try:
+        plain = darboux(w, x)
+    except (ZeroFormAt, NoAdmissibleNeighborhood) as exc:
+        plain = exc
+    if any(p < 0 for p in entry_pivots(w.coeff[x])):
+        with pytest.raises(ValueError) as info:
+            darboux(w, x, abs_normalize=True)
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("absolute-value normalization only "
+                                   "reconstructs positive-pivot instances")
+        return
+    if isinstance(plain, Exception):
+        with pytest.raises(type(plain)):
+            darboux(w, x, abs_normalize=True)
+        return
+    # the points of the default neighbourhood where every pivot is positive
+    around = space.member_points(plain.neighborhood)
+    positive = {y for y in around
+                if all(p > 0 for p in entry_pivots(w.coeff[y], plain.pivots))}
+    want = space.largest_open_inside(positive, x)
+    if want is None:
+        with pytest.raises(NoAdmissibleNeighborhood) as info:
+            darboux(w, x, abs_normalize=True)
+        assert info.value.witness in set(around) - positive
+        return
+    got = darboux(w, x, abs_normalize=True)
+    assert (got.at, got.neighborhood, got.half_rank, got.pivots,
+            got.permutation) == (x, want, plain.half_rank, plain.pivots,
+                                 plain.permutation)
+    inside = space.member_points(want)
+    assert [(s1.values, s2.values) for s1, s2 in got.pairs] == [
+        ({y: s1.values[y] for y in inside}, {y: s2.values[y] for y in inside})
+        for s1, s2 in plain.pairs]
+    assert darboux_reconstructs(w, got)
 
 
 def _wedge_coeff(field, a, b):

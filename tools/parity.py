@@ -17,6 +17,8 @@ The calls are:
   refuses with exit 3;
 - every suite at ``--seed-rng`` 7 on generated rank-8 manifests over Q and
   F_10007, on the 6-point discrete space and the 12-point chain.
+- ``darboux`` at each point of ``NEGATIVE_PIVOT``, with and without
+  ``--abs-normalize``.
 
 Each call runs in this process through ``sheafplectic.cli.main``; its exit
 code and the SHA-256 of its stdout are kept under a label made of the
@@ -47,6 +49,17 @@ from sheafplectic import cli  # noqa: E402
 
 ZERO_POINT = {"format": "sheafplectic-manifest/1",
               "space": {"points": [], "opens": [[]]}, "field": "Q", "rank": 2}
+
+# the Sierpinski space at rank 4 over Q: the standard block at a, and at b
+# the rank-2 form u ^ w, u = (1, 0, 1, 0), w = (0, -1, 0, 1), whose first
+# pivot is negative; b lies outside a's minimal open
+NEGATIVE_PIVOT = dict(
+    ZERO_POINT, space={"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]},
+    rank=4, form={
+        "a": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+              ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
+        "b": [["0", "-1", "0", "1"], ["1", "0", "1", "0"],
+              ["0", "-1", "0", "1"], ["-1", "0", "-1", "0"]]})
 
 # name -> bytes of a manifest the validator refuses with exit 3, one for
 # each refusal that needs its own handling: not UTF-8, nested past the
@@ -105,6 +118,10 @@ def all_calls(workdir):
             path = workloads._write(
                 workdir, "%s-%s8" % (space_name, field.lower()), built)
             calls += [("", p, argv) for p, argv in _suites(path, [7])]
+    path = workloads._write(workdir, "negative_pivot",
+                            gen.Built(NEGATIVE_PIVOT, {}))
+    calls += [("", path, ["darboux", "--at", x, *flag])
+              for x in ("a", "b") for flag in ([], ["--abs-normalize"])]
     return calls
 
 
